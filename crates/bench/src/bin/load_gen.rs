@@ -950,7 +950,7 @@ mod tests {
             "--conn-scale",
             "16",
             "--max-p99-ratio",
-            "10000",
+            "8",
             "--shutdown",
         ]
         .iter()

@@ -133,7 +133,7 @@ fn a_stalled_client_no_longer_pins_a_worker() {
     join.join().unwrap().unwrap();
 }
 
-/// Evented mode reaps idle keep-alive connections at `idle_timeout`, and
+/// The reactor reaps idle keep-alive connections at `idle_timeout`, and
 /// `/stats` counts them.
 #[test]
 fn idle_keep_alive_connections_are_reaped() {
@@ -392,7 +392,7 @@ fn partial_writes_resume_until_the_response_completes() {
     join.join().unwrap().unwrap();
 }
 
-/// Evented admission: past `max_connections` open sockets, new connections
+/// Admission: past `max_connections` open sockets, new connections
 /// get the immediate 503 (counted in `/stats`), and capacity frees as
 /// connections close.
 #[test]
@@ -435,6 +435,38 @@ fn connections_past_the_cap_are_rejected_at_accept() {
 
     handle.shutdown();
     join.join().unwrap().unwrap();
+}
+
+/// The default admission is the connection cap, not one worker per
+/// connection: with a single worker, a keep-alive client that stays open
+/// does not make the next client wait, and a zero cap is refused at bind.
+#[test]
+fn default_admission_serves_more_keep_alive_clients_than_workers() {
+    let (addr, handle, _service, join) = start(ServerConfig {
+        workers: 1,
+        read_timeout: Some(Duration::from_secs(30)),
+        ..ServerConfig::default()
+    });
+    let mut holder = connect(addr);
+    assert_eq!(holder.get("/healthz").unwrap().status, 200);
+
+    // Served while the holder stays open, far inside `read_timeout`.
+    let mut next = Client::connect(addr, Some(Duration::from_secs(5))).expect("connect");
+    assert_eq!(next.get("/healthz").unwrap().status, 200);
+    assert_eq!(server_stat(&mut next, "max_connections"), 512);
+    assert_eq!(server_stat(&mut holder, "open_connections"), 2);
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+
+    let zero_cap = Server::bind(&ServerConfig {
+        max_connections: 0,
+        ..ServerConfig::default()
+    });
+    assert_eq!(
+        zero_cap.err().map(|e| e.kind()),
+        Some(std::io::ErrorKind::InvalidInput)
+    );
 }
 
 /// Graceful shutdown closes idle keep-alive connections immediately — the

@@ -7,7 +7,7 @@
 //!             [--schedule level|steal] [--memo-cap N] [--scan-threads N]
 //! wcbk anatomize <csv> --sensitive COL --l N [--seed N] [--k N]
 //! wcbk generate-adult [--rows N] [--seed N] [--out FILE]
-//! wcbk serve [--addr HOST:PORT] [--workers N] [--queue-depth N]
+//! wcbk serve [--addr HOST:PORT] [--workers N]
 //!            [--max-connections N] [--idle-timeout-ms N]
 //!            [--engine-cache-cap N] [--engine-budget N] [--session-budget N]
 //!            [--data-dir DIR] [--log-json] [--slow-request-ms N]
@@ -102,7 +102,7 @@ const USAGE: &str = "usage:
               [--schedule level|steal] [--memo-cap N] [--scan-threads N]
   wcbk anatomize <csv> --sensitive COL --l N [--seed N] [--k N]
   wcbk generate-adult [--rows N] [--seed N] [--out FILE]
-  wcbk serve [--addr HOST:PORT] [--workers N] [--queue-depth N]
+  wcbk serve [--addr HOST:PORT] [--workers N]
              [--max-connections N] [--idle-timeout-ms N]
              [--engine-cache-cap N] [--engine-budget N] [--session-budget N]
              [--data-dir DIR] [--log-json] [--slow-request-ms N]
@@ -153,13 +153,10 @@ struct Options {
     addr: Option<String>,
     /// `serve`: worker thread count (`None`/0 = all cores).
     workers: Option<usize>,
-    /// `serve`: queued-connection bound before 503s.
-    queue_depth: Option<usize>,
-    /// `serve`: evented connection cap (`0`/absent = classic worker-lease
-    /// admission; `N` = up to N concurrent connections, 503 past that).
+    /// `serve`: connection cap (positive; 503 past it).
     max_connections: Option<usize>,
-    /// `serve`: idle keep-alive reap deadline in milliseconds (evented
-    /// mode; `0` = never reap idle connections).
+    /// `serve`: idle keep-alive reap deadline in milliseconds (`0` = never
+    /// reap idle connections).
     idle_timeout_ms: Option<u64>,
     /// `serve`: per-engine MINIMIZE1 cache budget (groups).
     engine_cache_cap: Option<u64>,
@@ -286,19 +283,14 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                         .map_err(|e| format!("--workers: {e}"))?,
                 )
             }
-            "--queue-depth" => {
-                opts.queue_depth = Some(
-                    need_value("--queue-depth", &mut it)?
-                        .parse()
-                        .map_err(|e| format!("--queue-depth: {e}"))?,
-                )
-            }
             "--max-connections" => {
-                opts.max_connections = Some(
-                    need_value("--max-connections", &mut it)?
-                        .parse()
-                        .map_err(|e| format!("--max-connections: {e}"))?,
-                )
+                let n: usize = need_value("--max-connections", &mut it)?
+                    .parse()
+                    .map_err(|e| format!("--max-connections: {e}"))?;
+                if n == 0 {
+                    return Err("--max-connections must be positive".into());
+                }
+                opts.max_connections = Some(n);
             }
             "--idle-timeout-ms" => {
                 opts.idle_timeout_ms = Some(
@@ -658,16 +650,16 @@ fn generate_adult(opts: &Options) -> Result<Verdict, Box<dyn std::error::Error>>
 /// `wcbk serve`: run the HTTP audit service until graceful shutdown
 /// (`POST /shutdown`, or the process being signalled away).
 fn serve_cmd(opts: &Options) -> Result<Verdict, Box<dyn std::error::Error>> {
+    let defaults = wcbk::serve::ServerConfig::default();
     let config = wcbk::serve::ServerConfig {
         addr: opts
             .addr
             .clone()
             .unwrap_or_else(|| "127.0.0.1:8080".to_owned()),
-        workers: opts.workers.unwrap_or(0),
-        queue_depth: opts.queue_depth.unwrap_or(64),
-        max_connections: opts.max_connections.unwrap_or(0),
+        workers: opts.workers.unwrap_or(defaults.workers),
+        max_connections: opts.max_connections.unwrap_or(defaults.max_connections),
         idle_timeout: match opts.idle_timeout_ms {
-            None => wcbk::serve::ServerConfig::default().idle_timeout,
+            None => defaults.idle_timeout,
             Some(0) => None,
             Some(ms) => Some(std::time::Duration::from_millis(ms)),
         },
@@ -679,7 +671,7 @@ fn serve_cmd(opts: &Options) -> Result<Verdict, Box<dyn std::error::Error>> {
         data_dir: opts.data_dir.clone().map(std::path::PathBuf::from),
         log_json: opts.log_json,
         slow_request_ms: opts.slow_request_ms,
-        ..wcbk::serve::ServerConfig::default()
+        ..defaults
     };
     let server = wcbk::serve::Server::bind(&config)?;
     if let Some(dir) = &config.data_dir {
@@ -1116,8 +1108,6 @@ mod tests {
             "127.0.0.1:0",
             "--workers",
             "2",
-            "--queue-depth",
-            "8",
             "--max-connections",
             "256",
             "--idle-timeout-ms",
@@ -1126,12 +1116,13 @@ mod tests {
         .unwrap();
         assert_eq!(o.addr.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(o.workers, Some(2));
-        assert_eq!(o.queue_depth, Some(8));
         assert_eq!(o.max_connections, Some(256));
         assert_eq!(o.idle_timeout_ms, Some(30_000));
         assert!(parse_args(&s(&["serve", "--workers", "many"])).is_err());
-        assert!(parse_args(&s(&["serve", "--queue-depth"])).is_err());
         assert!(parse_args(&s(&["serve", "--max-connections", "lots"])).is_err());
+        // An unknown flag, and a zero cap that would 503 every client.
+        assert!(parse_args(&s(&["serve", "--queue-depth", "8"])).is_err());
+        assert!(parse_args(&s(&["serve", "--max-connections", "0"])).is_err());
         assert!(parse_args(&s(&["serve", "--idle-timeout-ms"])).is_err());
     }
 
