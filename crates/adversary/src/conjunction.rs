@@ -60,7 +60,7 @@ pub(crate) fn allocation_witness(
         return Err(CoreError::EmptyBucketization);
     }
     let k = engine.k();
-    let costs: Vec<BucketCosts> = set.histograms().iter().map(|h| engine.costs(h)).collect();
+    let costs: Vec<BucketCosts> = set.buckets().map(|h| engine.costs(h)).collect();
     let result = minimize2(&costs, k);
     let host = result
         .allocation
@@ -68,7 +68,7 @@ pub(crate) fn allocation_witness(
         .find(|a| a.has_consequent)
         .map(|a| a.bucket)
         .unwrap_or(0);
-    let hist = &set.histograms()[host];
+    let hist = set.bucket(host);
     let modal = hist.value_at(0).expect("buckets are non-empty");
     let predicts = format!(
         "bucket {host}: t[S] = {modal} (modal value, {} of {} tuples)",
@@ -80,7 +80,7 @@ pub(crate) fn allocation_witness(
         if alloc.atoms == 0 {
             continue;
         }
-        let table = Minimize1Table::build(&set.histograms()[alloc.bucket], k);
+        let table = Minimize1Table::build(set.bucket(alloc.bucket), k);
         // The DP only allocates atoms where MINIMIZE1 is feasible, so the
         // profile reconstruction cannot fail.
         let profile = table

@@ -2,7 +2,7 @@
 //! et al., "Anonymization with Worst-Case Distribution-Based Background
 //! Knowledge" (arXiv 0909.1127).
 
-use wcbk_core::{CoreError, HistogramSet, SensitiveHistogram};
+use wcbk_core::{CoreError, HistogramSet, HistogramView};
 
 use crate::{AdversaryModel, ModelWitness};
 
@@ -38,7 +38,7 @@ impl DistributionModel {
     }
 
     /// The tilted posterior for one bucket.
-    fn bucket_value(&self, hist: &SensitiveHistogram) -> f64 {
+    fn bucket_value(&self, hist: HistogramView<'_>) -> f64 {
         let f = hist.frequency(0) as f64;
         let rest = (hist.n() - hist.frequency(0)) as f64;
         let tilt = (self.k + 1) as f64;
@@ -49,7 +49,7 @@ impl DistributionModel {
     fn argmax(&self, set: &HistogramSet) -> usize {
         let mut best = 0;
         let mut best_v = f64::MIN;
-        for (i, hist) in set.histograms().iter().enumerate() {
+        for (i, hist) in set.buckets().enumerate() {
             let v = self.bucket_value(hist);
             if v > best_v {
                 best = i;
@@ -74,8 +74,7 @@ impl AdversaryModel for DistributionModel {
             return Err(CoreError::EmptyBucketization);
         }
         Ok(set
-            .histograms()
-            .iter()
+            .buckets()
             .map(|h| self.bucket_value(h))
             .fold(0.0, f64::max))
     }
@@ -85,7 +84,7 @@ impl AdversaryModel for DistributionModel {
             return Err(CoreError::EmptyBucketization);
         }
         let b = self.argmax(set);
-        let hist = &set.histograms()[b];
+        let hist = set.bucket(b);
         let modal = hist.value_at(0).expect("buckets are non-empty");
         Ok(ModelWitness {
             predicts: format!(
@@ -106,6 +105,7 @@ mod tests {
     use super::*;
     use crate::tests::figure3_set;
     use proptest::prelude::*;
+    use wcbk_core::SensitiveHistogram;
     use wcbk_table::SValue;
 
     /// Worked example on the paper's running Figure 3 histograms: both

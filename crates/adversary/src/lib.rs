@@ -108,6 +108,13 @@ pub trait AdversaryModel: Send + Sync {
     fn composition(&self) -> CompositionStyle {
         CompositionStyle::UnionOfBuckets
     }
+
+    /// Whether the bound never increases when buckets merge, so a
+    /// coarsening of a safe grouping is safe. The lattice search prunes by
+    /// this law; a model without it is searched exhaustively.
+    fn merge_monotone(&self) -> bool {
+        true
+    }
 }
 
 /// Registry identifier for the shipped adversary models.

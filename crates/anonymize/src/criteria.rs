@@ -1,18 +1,22 @@
 //! Pluggable privacy criteria.
 //!
-//! Each criterion is a predicate over bucketizations that is **monotone**
-//! with respect to the `⪯` partial order: if it holds for `B`, it holds for
+//! A criterion is a predicate over bucketizations. Most are **monotone**
+//! with respect to the `⪯` partial order: if one holds for `B`, it holds for
 //! every coarsening of `B`. Monotonicity is what lets lattice search prune
 //! (evaluate a node's predecessors first) and chain binary search work. For
 //! (c,k)-safety this is the paper's Theorem 14; for k-anonymity and the
-//! ℓ-diversity family it is classical.
+//! ℓ-diversity family it is classical. A criterion without it says so
+//! through [`PrivacyCriterion::monotone`], and the searches then evaluate
+//! every node.
 
 use wcbk_adversary::AdversaryModel;
-use wcbk_core::{Bucketization, CacheStats, CkSafety, CoreError, DisclosureEngine, HistogramSet};
+use wcbk_core::{
+    Bucketization, CacheStats, CkSafety, CoreError, DisclosureEngine, HistogramSet, HistogramView,
+};
 
 use crate::AnonymizeError;
 
-/// A monotone privacy predicate over bucketizations.
+/// A privacy predicate over bucketizations, usually monotone.
 ///
 /// `Send + Sync` so one criterion instance can be shared across the worker
 /// threads of the parallel lattice search; implementations that memoize
@@ -32,10 +36,17 @@ pub trait PrivacyCriterion: Send + Sync {
     fn is_satisfied_hist(&self, h: &HistogramSet) -> Result<bool, AnonymizeError>;
 
     /// Whether `b` satisfies the criterion. The default delegates to the
-    /// histogram surface; implementations may override to skip the
-    /// histogram-cloning view.
+    /// histogram surface; implementations may override to skip packing the
+    /// bucketization's histograms into a set.
     fn is_satisfied(&self, b: &Bucketization) -> Result<bool, AnonymizeError> {
         self.is_satisfied_hist(&HistogramSet::from_bucketization(b))
+    }
+
+    /// Whether the criterion is preserved by coarsening (satisfied at `B`
+    /// implies satisfied at every `B' ⪰ B`). The searches prune by it;
+    /// `false` makes them evaluate every node instead.
+    fn monotone(&self) -> bool {
+        true
     }
 }
 
@@ -53,6 +64,10 @@ impl<T: PrivacyCriterion + ?Sized> PrivacyCriterion for Box<T> {
     fn is_satisfied(&self, b: &Bucketization) -> Result<bool, AnonymizeError> {
         (**self).is_satisfied(b)
     }
+
+    fn monotone(&self) -> bool {
+        (**self).monotone()
+    }
 }
 
 /// Borrowed criteria delegate too, so a caller can hand the same instance
@@ -69,6 +84,10 @@ impl<T: PrivacyCriterion + ?Sized> PrivacyCriterion for &T {
     fn is_satisfied(&self, b: &Bucketization) -> Result<bool, AnonymizeError> {
         (**self).is_satisfied(b)
     }
+
+    fn monotone(&self) -> bool {
+        (**self).monotone()
+    }
 }
 
 /// `Arc`-shared criteria delegate as well — the shape long-running services
@@ -84,6 +103,10 @@ impl<T: PrivacyCriterion + ?Sized> PrivacyCriterion for std::sync::Arc<T> {
 
     fn is_satisfied(&self, b: &Bucketization) -> Result<bool, AnonymizeError> {
         (**self).is_satisfied(b)
+    }
+
+    fn monotone(&self) -> bool {
+        (**self).monotone()
     }
 }
 
@@ -137,7 +160,7 @@ impl PrivacyCriterion for DistinctLDiversity {
     }
 
     fn is_satisfied_hist(&self, h: &HistogramSet) -> Result<bool, AnonymizeError> {
-        Ok(h.histograms().iter().all(|hist| hist.distinct() >= self.l))
+        Ok(h.buckets().all(|hist| hist.distinct() >= self.l))
     }
 
     fn is_satisfied(&self, b: &Bucketization) -> Result<bool, AnonymizeError> {
@@ -173,9 +196,7 @@ impl PrivacyCriterion for EntropyLDiversity {
 
     fn is_satisfied_hist(&self, h: &HistogramSet) -> Result<bool, AnonymizeError> {
         let threshold = self.l.ln();
-        Ok(h.histograms()
-            .iter()
-            .all(|hist| hist.entropy() >= threshold - 1e-12))
+        Ok(h.buckets().all(|hist| hist.entropy() >= threshold - 1e-12))
     }
 
     fn is_satisfied(&self, b: &Bucketization) -> Result<bool, AnonymizeError> {
@@ -207,7 +228,7 @@ impl RecursiveCLDiversity {
 }
 
 impl RecursiveCLDiversity {
-    fn histogram_ok(&self, h: &wcbk_core::SensitiveHistogram) -> bool {
+    fn histogram_ok(&self, h: HistogramView<'_>) -> bool {
         let tail: u64 = (self.l - 1..h.distinct()).map(|r| h.frequency(r)).sum();
         (h.frequency(0) as f64) < self.c * tail as f64
     }
@@ -219,13 +240,13 @@ impl PrivacyCriterion for RecursiveCLDiversity {
     }
 
     fn is_satisfied_hist(&self, h: &HistogramSet) -> Result<bool, AnonymizeError> {
-        Ok(h.histograms().iter().all(|hist| self.histogram_ok(hist)))
+        Ok(h.buckets().all(|hist| self.histogram_ok(hist)))
     }
 
     fn is_satisfied(&self, b: &Bucketization) -> Result<bool, AnonymizeError> {
         Ok(b.buckets()
             .iter()
-            .all(|bucket| self.histogram_ok(bucket.histogram())))
+            .all(|bucket| self.histogram_ok(bucket.histogram().view())))
     }
 }
 
@@ -298,9 +319,10 @@ impl PrivacyCriterion for CkSafetyCriterion {
 ///
 /// With the conjunction model this is exactly [`CkSafetyCriterion`] (the
 /// bound is computed by the same engine, bit-for-bit); the other models
-/// substitute their own knowledge language. All shipped models are
-/// merge-monotone (pinned by the `wcbk-adversary` proptests), which is the
-/// property the pruned lattice search requires.
+/// substitute their own knowledge language. The criterion is monotone
+/// exactly when the model declares
+/// [`merge_monotone`](AdversaryModel::merge_monotone) — every shipped model
+/// but minimality — so searches prune only under models that have the law.
 pub struct ModelSafetyCriterion {
     model: std::sync::Arc<dyn AdversaryModel>,
     c: f64,
@@ -333,6 +355,10 @@ impl PrivacyCriterion for ModelSafetyCriterion {
 
     fn is_satisfied_hist(&self, h: &HistogramSet) -> Result<bool, AnonymizeError> {
         Ok(self.model.max_disclosure(h)? < self.c)
+    }
+
+    fn monotone(&self) -> bool {
+        self.model.merge_monotone()
     }
 }
 

@@ -67,7 +67,9 @@ pub fn incognito_parallel<C: PrivacyCriterion>(
     )
 }
 
-/// [`incognito`] with an explicit [`SearchConfig`].
+/// [`incognito`] with an explicit [`SearchConfig`]. Rejects a criterion
+/// that is not [monotone](PrivacyCriterion::monotone) with
+/// [`AnonymizeError::InvalidParameter`]: the subset join prunes by that law.
 ///
 /// The apriori join is inherently sequential across subset sizes, but each
 /// subset's surviving candidates form a monotone-pruned DAG of their own —
@@ -83,6 +85,15 @@ pub fn incognito_with<C: PrivacyCriterion>(
     criterion: &C,
     config: &SearchConfig,
 ) -> Result<IncognitoOutcome, AnonymizeError> {
+    if !criterion.monotone() {
+        // The subset join prunes by monotonicity; without it there is
+        // nothing Incognito can skip. The exhaustive search is
+        // `find_minimal_safe*`.
+        return Err(AnonymizeError::InvalidParameter(format!(
+            "Incognito needs a monotone criterion; {} is not (use the lattice search)",
+            criterion.name()
+        )));
+    }
     let threads = config.effective_threads();
     let n_dims = lattice.n_dims();
     // One table scan up front; every subset projection is evaluated from
@@ -127,7 +138,7 @@ pub fn incognito_with<C: PrivacyCriterion>(
             let candidate_set: HashSet<Vec<usize>> = candidates.into_iter().collect();
             let judge = |v: &Vec<usize>| -> Result<bool, AnonymizeError> {
                 match &evaluator {
-                    Some(eval) => criterion.is_satisfied_hist(&eval.histograms_subset(&dims, v)?),
+                    Some(eval) => criterion.is_satisfied_hist(&*eval.histograms_subset(&dims, v)?),
                     None => {
                         let b = lattice.bucketize_subset(table, &dims, v)?;
                         criterion.is_satisfied(&b)

@@ -23,6 +23,12 @@
 //! `satisfied` counts, same first-error semantics (pinned by
 //! `tests/parallel_search.rs` and `tests/rollup_equivalence.rs`).
 //!
+//! Pruning is sound only for a criterion preserved by coarsening. One that
+//! declares otherwise ([`PrivacyCriterion::monotone`] is `false`, e.g.
+//! safety under the minimality adversary) is evaluated at **every** node,
+//! under any schedule, and its minimal nodes are the safe nodes with no safe
+//! node below them.
+//!
 //! **Evaluation never re-scans the table.** A [`NodeEvaluator`] scans it
 //! once at search start; every node is then judged from rolled-up
 //! [`HistogramSet`](wcbk_core::HistogramSet)s via
@@ -125,9 +131,11 @@ pub struct SearchOutcome {
     /// All ⪯-minimal nodes satisfying the criterion (antichain).
     pub minimal_nodes: Vec<GenNode>,
     /// Nodes whose criterion was actually evaluated (≤ lattice size; the
-    /// rest were inferred safe by monotonicity).
+    /// rest were inferred safe by monotonicity). Every node when the
+    /// criterion is not monotone.
     pub evaluated: usize,
-    /// Nodes known safe (evaluated or inferred).
+    /// Nodes known safe (evaluated or inferred; evaluated only when the
+    /// criterion is not monotone).
     pub satisfied: usize,
 }
 
@@ -230,12 +238,7 @@ pub fn find_minimal_safe<C: PrivacyCriterion>(
     lattice: &GeneralizationLattice,
     criterion: &C,
 ) -> Result<SearchOutcome, AnonymizeError> {
-    match try_evaluator(table, lattice)? {
-        Some(eval) => minimal_safe_with(lattice, |node| {
-            criterion.is_satisfied_hist(&eval.histograms(node)?)
-        }),
-        None => find_minimal_safe_rescan(table, lattice, criterion),
-    }
+    find_minimal_safe_with(table, lattice, criterion, &SearchConfig::with_threads(1))
 }
 
 /// [`find_minimal_safe`] over the legacy per-node `bucketize` path (one full
@@ -247,9 +250,13 @@ pub fn find_minimal_safe_rescan<C: PrivacyCriterion>(
     lattice: &GeneralizationLattice,
     criterion: &C,
 ) -> Result<SearchOutcome, AnonymizeError> {
-    minimal_safe_with(lattice, |node| {
-        criterion.is_satisfied(&lattice.bucketize(table, node)?)
-    })
+    minimal_safe_over(
+        table,
+        lattice,
+        None,
+        criterion,
+        &SearchConfig::with_threads(1),
+    )
 }
 
 /// The level-synchronous parallel BFS skeleton, generic over a `Sync` judge.
@@ -408,10 +415,15 @@ pub(crate) fn minimal_safe_over<C: PrivacyCriterion>(
     let threads = config.effective_threads();
     let judge = |node: &GenNode| -> Result<bool, AnonymizeError> {
         match evaluator {
-            Some(eval) => criterion.is_satisfied_hist(&eval.histograms(node)?),
+            Some(eval) => criterion.is_satisfied_hist(&*eval.histograms(node)?),
             None => criterion.is_satisfied(&lattice.bucketize(table, node)?),
         }
     };
+    if !criterion.monotone() {
+        let nodes: Vec<GenNode> = lattice.nodes_by_height().into_iter().flatten().collect();
+        let verdicts = parallel_verdicts(&nodes, threads, judge)?;
+        return Ok(exhaustive_outcome(lattice, nodes, &verdicts));
+    }
     if threads == 1 {
         minimal_safe_with(lattice, judge)
     } else {
@@ -419,6 +431,38 @@ pub(crate) fn minimal_safe_over<C: PrivacyCriterion>(
             Schedule::LevelSync => minimal_safe_parallel_with(lattice, threads, judge),
             Schedule::WorkStealing => minimal_safe_steal_with(lattice, threads, judge),
         }
+    }
+}
+
+/// The outcome of evaluating every node (`nodes` in height order, with
+/// their `verdicts`) under a criterion that is not monotone: the minimal
+/// nodes are the safe nodes with no safe node anywhere below them, and only
+/// nodes evaluated safe count as satisfied.
+fn exhaustive_outcome(
+    lattice: &GeneralizationLattice,
+    nodes: Vec<GenNode>,
+    verdicts: &[bool],
+) -> SearchOutcome {
+    // Nodes that are safe or sit above a safe node.
+    let mut reached: HashSet<GenNode> = HashSet::new();
+    let mut minimal = Vec::new();
+    let evaluated = nodes.len();
+    for (node, &safe) in nodes.into_iter().zip(verdicts) {
+        let above_safe = lattice
+            .predecessors(&node)
+            .iter()
+            .any(|p| reached.contains(p));
+        if safe && !above_safe {
+            minimal.push(node.clone());
+        }
+        if safe || above_safe {
+            reached.insert(node);
+        }
+    }
+    SearchOutcome {
+        minimal_nodes: minimal,
+        evaluated,
+        satisfied: verdicts.iter().filter(|&&safe| safe).count(),
     }
 }
 
@@ -433,7 +477,7 @@ pub(crate) fn sweep_over<C: PrivacyCriterion>(
     let mut out = Vec::with_capacity(lattice.n_nodes());
     for node in lattice.nodes() {
         let ok = match evaluator {
-            Some(eval) => criterion.is_satisfied_hist(&eval.histograms(&node)?)?,
+            Some(eval) => criterion.is_satisfied_hist(&*eval.histograms(&node)?)?,
             None => criterion.is_satisfied(&lattice.bucketize(table, &node)?)?,
         };
         out.push((node, ok));
@@ -535,15 +579,8 @@ pub fn sweep_all<C: PrivacyCriterion>(
     lattice: &GeneralizationLattice,
     criterion: &C,
 ) -> Result<Vec<(GenNode, bool)>, AnonymizeError> {
-    let Some(eval) = try_evaluator(table, lattice)? else {
-        return sweep_all_rescan(table, lattice, criterion);
-    };
-    let mut out = Vec::with_capacity(lattice.n_nodes());
-    for node in lattice.nodes() {
-        let ok = criterion.is_satisfied_hist(&eval.histograms(&node)?)?;
-        out.push((node, ok));
-    }
-    Ok(out)
+    let evaluator = try_evaluator(table, lattice)?;
+    sweep_over(table, lattice, evaluator.as_ref(), criterion)
 }
 
 /// [`sweep_all`] over the legacy per-node `bucketize` path — the
@@ -553,19 +590,15 @@ pub fn sweep_all_rescan<C: PrivacyCriterion>(
     lattice: &GeneralizationLattice,
     criterion: &C,
 ) -> Result<Vec<(GenNode, bool)>, AnonymizeError> {
-    let mut out = Vec::with_capacity(lattice.n_nodes());
-    for node in lattice.nodes() {
-        let b = lattice.bucketize(table, &node)?;
-        let ok = criterion.is_satisfied(&b)?;
-        out.push((node, ok));
-    }
-    Ok(out)
+    sweep_over(table, lattice, None, criterion)
 }
 
 /// Binary search along a fine→coarse chain for the first (finest) safe node
 /// — logarithmic in the chain length thanks to monotonicity (Theorem 14).
+/// A criterion that is not monotone is checked node by node from the finest
+/// instead.
 ///
-/// Returns `None` when even the last (coarsest) node fails.
+/// Returns `None` when no node of the chain is safe.
 pub fn binary_search_chain<C: PrivacyCriterion>(
     table: &Table,
     lattice: &GeneralizationLattice,
@@ -583,10 +616,18 @@ pub fn binary_search_chain<C: PrivacyCriterion>(
     let evaluator = try_evaluator(table, lattice)?;
     let check = |node: &GenNode| -> Result<bool, AnonymizeError> {
         match &evaluator {
-            Some(eval) => criterion.is_satisfied_hist(&eval.histograms(node)?),
+            Some(eval) => criterion.is_satisfied_hist(&*eval.histograms(node)?),
             None => criterion.is_satisfied(&lattice.bucketize(table, node)?),
         }
     };
+    if !criterion.monotone() {
+        for node in chain {
+            if check(node)? {
+                return Ok(Some(node.clone()));
+            }
+        }
+        return Ok(None);
+    }
     // Invariant: everything below `lo` is unsafe; if `hi_safe` then chain[hi]
     // is safe.
     let mut lo = 0usize;

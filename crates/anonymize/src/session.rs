@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use wcbk_adversary::{CompositionStyle, ModelId, ModelWitness};
 use wcbk_core::{
     Bucketization, CkSafety, DisclosureEngine, DisclosureResult, EngineRegistry, HistogramSet,
-    IncrementalDisclosure, SensitiveHistogram,
+    HistogramView, IncrementalDisclosure, SensitiveHistogram,
 };
 use wcbk_hierarchy::{
     dataset_fingerprint, GenNode, GeneralizationLattice, NodeEvaluator, RollupStats, ScanOptions,
@@ -177,7 +177,8 @@ struct ReleaseHistory {
 /// folded in so far. A later audit only pushes the buckets released since
 /// `folded` — the O(new buckets) contract — and pushing is bit-identical
 /// to a fresh [`DisclosureEngine::incremental_set`] build because `push`
-/// rebuilds the tables from the full cost list.
+/// computes each new prefix row, and the suffix table it rebuilds on the
+/// next query, exactly as a fresh build does.
 struct UnionComp {
     /// Buckets of the history already folded into `inc`.
     folded: usize,
@@ -481,7 +482,11 @@ impl DatasetSession {
         model: ModelId,
     ) -> Result<ReleaseReport, AnonymizeError> {
         let histograms: Vec<SensitiveHistogram> = match self.evaluator() {
-            Some(eval) => eval.histograms(node)?.histograms().to_vec(),
+            Some(eval) => eval
+                .histograms(node)?
+                .buckets()
+                .map(HistogramView::to_histogram)
+                .collect(),
             None => self
                 .lattice
                 .bucketize(&self.table, node)?
@@ -551,11 +556,12 @@ impl DatasetSession {
     /// computed over their union through a persistent per-`k`
     /// [`IncrementalDisclosure`] kept in the session. The first audit at a
     /// given `k` builds the full state; every later audit folds in only the
-    /// buckets released since — O(new buckets) bucket-cost work, with the
-    /// per-bucket MINIMIZE1 tables additionally cached in the shared
-    /// engine. Because [`IncrementalDisclosure::push`] rebuilds from the
-    /// full cost list, the folded value is bit-identical to a fresh
-    /// [`DisclosureEngine::incremental_set`] over the whole union.
+    /// buckets released since — `O(k²)` per new bucket plus one suffix
+    /// rebuild per audit, with the per-bucket MINIMIZE1 tables additionally
+    /// cached in the shared engine. Because [`IncrementalDisclosure::push`]
+    /// computes exactly what a fresh build does, the folded value is
+    /// bit-identical to a fresh [`DisclosureEngine::incremental_set`] over
+    /// the whole union.
     ///
     /// Errors when no release has been recorded.
     pub fn audit_composition(

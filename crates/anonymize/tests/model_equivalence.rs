@@ -9,8 +9,17 @@
 
 use proptest::prelude::*;
 
-use wcbk_anonymize::search::{find_minimal_safe_with, Schedule, SearchConfig};
-use wcbk_anonymize::{CkSafetyCriterion, DatasetSession, ModelId, ModelSafetyCriterion};
+use std::collections::HashSet;
+use std::sync::Arc;
+
+use wcbk_anonymize::search::{
+    binary_search_chain, find_minimal_safe, find_minimal_safe_rescan, find_minimal_safe_with,
+    Schedule, SearchConfig,
+};
+use wcbk_anonymize::{
+    incognito, AnonymizeError, CkSafetyCriterion, DatasetSession, ModelId, ModelSafetyCriterion,
+    PrivacyCriterion, MODEL_IDS,
+};
 use wcbk_core::DisclosureEngine;
 use wcbk_hierarchy::{GeneralizationLattice, Hierarchy};
 use wcbk_table::{Attribute, AttributeKind, Schema, Table, TableBuilder};
@@ -199,4 +208,99 @@ proptest! {
             prop_assert_eq!(tagged.safe, report.safe);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Under every registered model, the search's minimal nodes are exactly
+    /// the ⪯-minimal safe nodes of the unpruned sweep, and `satisfied`
+    /// counts the sweep's safe nodes: pruning is used only where the model
+    /// declares the law that makes it sound.
+    #[test]
+    fn search_matches_sweep_under_every_model(
+        qi_cols in 1usize..=2,
+        seed_rows in row_strategy(3),
+        k in 0usize..3,
+        c10 in 3u32..10,
+    ) {
+        let (table, lattice) = materialize(qi_cols, seed_rows);
+        let session = DatasetSession::new(table, lattice.clone()).unwrap();
+        for model in MODEL_IDS {
+            let criterion =
+                ModelSafetyCriterion::new(f64::from(c10) / 10.0, model.resolve(session.engine(k)))
+                    .unwrap();
+            let swept = session.sweep(&criterion).unwrap();
+            let safe: HashSet<_> = swept.iter().filter(|(_, ok)| *ok).map(|(n, _)| n).collect();
+            let want: HashSet<_> = safe
+                .iter()
+                .filter(|n| !safe.iter().any(|m| m != *n && m.le(n)))
+                .copied()
+                .collect();
+            let outcome = session.search(&criterion, &SearchConfig::default()).unwrap().outcome;
+            let got: HashSet<_> = outcome.minimal_nodes.iter().collect();
+            prop_assert_eq!(&got, &want, "model {}", model);
+            prop_assert_eq!(outcome.satisfied, safe.len(), "model {}", model);
+        }
+    }
+}
+
+/// The minimality adversary's bound can rise under bucket merge, so no
+/// search may infer a node safe from a safe node below it. On this 10-row,
+/// one-QI table at c = 0.55, k = 1, the bottom node's buckets {c:1,d:2,e:2}
+/// and {c:2,d:1,e:2} bound at 1/2 (safe) and the top node's merged bucket
+/// at 4/7 (unsafe).
+#[test]
+fn minimality_search_evaluates_every_node() {
+    let rows: Vec<Vec<u8>> = [(0, 0), (0, 1), (0, 1), (0, 2), (0, 2)]
+        .into_iter()
+        .chain([(1, 0), (1, 0), (1, 1), (1, 2), (1, 2)])
+        .map(|(q, s)| vec![q, s])
+        .collect();
+    let table = build_table(1, &rows);
+    let lattice = GeneralizationLattice::new(vec![(
+        0,
+        Hierarchy::suppression("Q0", table.column(0).dictionary()),
+    )])
+    .unwrap();
+    let (bottom, top) = (lattice.bottom(), lattice.top());
+    let engine = Arc::new(DisclosureEngine::new(1));
+    let criterion = ModelSafetyCriterion::new(0.55, ModelId::Minimality.resolve(engine)).unwrap();
+    assert!(!criterion.monotone());
+
+    let session = DatasetSession::new(table.clone(), lattice.clone()).unwrap();
+    assert_eq!(
+        session.sweep(&criterion).unwrap(),
+        vec![(bottom.clone(), true), (top.clone(), false)]
+    );
+    let configs = [
+        SearchConfig::default(),
+        SearchConfig::with_threads(1),
+        SearchConfig {
+            threads: 2,
+            schedule: Schedule::LevelSync,
+            ..Default::default()
+        },
+    ];
+    for config in &configs {
+        let outcome = find_minimal_safe_with(&table, &lattice, &criterion, config).unwrap();
+        assert_eq!(outcome.minimal_nodes, vec![bottom.clone()], "{config:?}");
+        assert_eq!(outcome.evaluated, 2, "{config:?}");
+        assert_eq!(outcome.satisfied, 1, "{config:?}");
+        assert_eq!(session.search(&criterion, config).unwrap().outcome, outcome);
+    }
+    let sequential = find_minimal_safe(&table, &lattice, &criterion).unwrap();
+    assert_eq!(sequential.satisfied, 1);
+    assert_eq!(
+        find_minimal_safe_rescan(&table, &lattice, &criterion).unwrap(),
+        sequential
+    );
+    assert_eq!(
+        binary_search_chain(&table, &lattice, &[bottom.clone(), top], &criterion).unwrap(),
+        Some(bottom)
+    );
+    assert!(matches!(
+        incognito(&table, &lattice, &criterion),
+        Err(AnonymizeError::InvalidParameter(_))
+    ));
 }

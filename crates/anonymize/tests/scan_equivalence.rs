@@ -77,8 +77,8 @@ fn assert_nodes_equal(
         prop_assert_eq!(got.domain_size(), want.domain_size());
         for i in 0..want.n_buckets() {
             prop_assert_eq!(
-                &got.histograms()[i],
-                &want.histograms()[i],
+                got.bucket(i),
+                want.bucket(i),
                 "{}: node {} bucket {}",
                 label,
                 &node,
@@ -191,12 +191,12 @@ proptest! {
             let want = reference.histograms(node).unwrap();
             prop_assert_eq!(got.n_buckets(), want.n_buckets(), "node {}", node);
             for i in 0..want.n_buckets() {
-                prop_assert_eq!(&got.histograms()[i], &want.histograms()[i]);
+                prop_assert_eq!(got.bucket(i), want.bucket(i));
             }
             let scanned = lattice.bucketize(&table, node).unwrap();
             prop_assert_eq!(got.n_buckets(), scanned.n_buckets());
             for (i, bucket) in scanned.buckets().iter().enumerate() {
-                prop_assert_eq!(&got.histograms()[i], bucket.histogram());
+                prop_assert_eq!(got.bucket(i), bucket.histogram().view());
             }
         }
         prop_assert_eq!(eval.stats().table_scans, 1);

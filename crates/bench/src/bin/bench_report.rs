@@ -103,8 +103,7 @@ fn run_scale(n_rows: usize, threads: usize, out_path: &str) -> Result<(), Harnes
                 "{label} scan diverged from reference at node {node}"
             );
             assert_eq!(
-                got.histograms(),
-                want.histograms(),
+                got, want,
                 "{label} scan diverged from reference at node {node}"
             );
         }

@@ -19,9 +19,9 @@
 //! (this measures capacity, not queueing collapse).
 //!
 //! With `--conn-scale N`, a third phase measures **connection scaling** on
-//! the evented server: the same fixed total request rate of cheap handle
-//! audits is offered first over 8 connections, then spread across `N`
-//! keep-alive connections (optionally with `--slowloris M` stalled
+//! the evented server: the same paced load of cheap handle audits (160/s,
+//! 6 requests per scaled connection and at least 192) is offered first over
+//! 8 connections, then spread across `N` keep-alive connections (optionally with `--slowloris M` stalled
 //! connections trickling partial headers alongside). On a reactor, idle
 //! keep-alive connections cost ~0, so p99 at `N` connections should stay
 //! close to p99 at 8; `--max-p99-ratio` turns that into a CI gate. (The
@@ -322,8 +322,11 @@ fn scrape_server_quantiles(exposition: &str) -> Option<(f64, f64, f64)> {
 
 /// Baseline connection count the conn-scale phase compares against.
 const SCALE_BASELINE_CONNS: usize = 8;
-/// Total requests offered per conn-scale measurement (same at both counts).
-const SCALE_TOTAL_REQUESTS: usize = 768;
+/// Requests offered per scaled connection in each conn-scale measurement.
+const SCALE_REQUESTS_PER_CONN: usize = 6;
+/// Floor on the requests per conn-scale measurement, so the p99 of a small
+/// `--conn-scale` still rests on enough samples.
+const SCALE_MIN_REQUESTS: usize = 192;
 /// Aggregate offered rate (requests/sec) across all connections — well
 /// under the capacity of a warm handle audit, so queueing reflects the
 /// connection count, not saturation.
@@ -336,11 +339,24 @@ struct ScalePhase {
     failures: Vec<String>,
 }
 
-/// Offers `SCALE_TOTAL_REQUESTS` posts of `body` to `path` at a fixed
-/// aggregate `SCALE_RATE_PER_SEC`, spread evenly over `connections`
-/// keep-alive connections (send times are scheduled on the clock, not on
-/// the previous response — an open loop). Returns sorted latencies.
-fn drive_open_loop(addr: &str, path: &str, body: &str, connections: usize) -> ScalePhase {
+/// Requests offered per conn-scale measurement (the same at both
+/// connection counts): 6 per scaled connection, at least 192 — 768 for
+/// CI's 128 connections.
+fn scale_total_requests(conn_scale: usize) -> usize {
+    (SCALE_REQUESTS_PER_CONN * conn_scale).max(SCALE_MIN_REQUESTS)
+}
+
+/// Offers `total` posts of `body` to `path` at a fixed aggregate
+/// `SCALE_RATE_PER_SEC`, spread evenly over `connections` keep-alive
+/// connections (send times are scheduled on the clock, not on the previous
+/// response — an open loop). Returns sorted latencies.
+fn drive_open_loop(
+    addr: &str,
+    path: &str,
+    body: &str,
+    connections: usize,
+    total: usize,
+) -> ScalePhase {
     let samples: Mutex<Vec<f64>> = Mutex::new(Vec::new());
     let failures: Mutex<Vec<String>> = Mutex::new(Vec::new());
     let started = Instant::now();
@@ -355,8 +371,7 @@ fn drive_open_loop(addr: &str, path: &str, body: &str, connections: usize) -> Sc
                         .expect("failure list poisoned")
                         .push(format!("scale connection {worker}: {message}"));
                 };
-                let count = SCALE_TOTAL_REQUESTS / connections
-                    + usize::from(worker < SCALE_TOTAL_REQUESTS % connections);
+                let count = total / connections + usize::from(worker < total % connections);
                 let mut client = match Client::connect(addr, Some(Duration::from_secs(120))) {
                     Ok(c) => c,
                     Err(e) => return fail(format!("connect: {e}")),
@@ -445,11 +460,12 @@ fn run_conn_scale(config: &Config) -> Result<(Json, f64, usize), HarnessError> {
     }
     drop(client);
 
+    let total = scale_total_requests(config.conn_scale);
     eprintln!(
         "conn-scale: {} requests at {:.0}/s over {} connections…",
-        SCALE_TOTAL_REQUESTS, SCALE_RATE_PER_SEC, SCALE_BASELINE_CONNS
+        total, SCALE_RATE_PER_SEC, SCALE_BASELINE_CONNS
     );
-    let baseline = drive_open_loop(&config.addr, &path, &body, SCALE_BASELINE_CONNS);
+    let baseline = drive_open_loop(&config.addr, &path, &body, SCALE_BASELINE_CONNS, total);
 
     // The scaled run, with stalled header-tricklers riding alongside: on
     // the evented server they occupy reactor entries, never workers.
@@ -465,7 +481,7 @@ fn run_conn_scale(config: &Config) -> Result<(Json, f64, usize), HarnessError> {
         config.conn_scale,
         tricklers.len()
     );
-    let scaled = drive_open_loop(&config.addr, &path, &body, config.conn_scale);
+    let scaled = drive_open_loop(&config.addr, &path, &body, config.conn_scale, total);
     drop(tricklers);
 
     let p99_base = percentile(&baseline.samples, 0.99);
@@ -476,13 +492,13 @@ fn run_conn_scale(config: &Config) -> Result<(Json, f64, usize), HarnessError> {
     let ratio = p99_scaled / p99_base.max(1.0);
     let failures = baseline.failures.len()
         + scaled.failures.len()
-        + (baseline.samples.len() != SCALE_TOTAL_REQUESTS) as usize
-        + (scaled.samples.len() != SCALE_TOTAL_REQUESTS) as usize;
+        + (baseline.samples.len() != total) as usize
+        + (scaled.samples.len() != total) as usize;
     let section = Json::object(vec![
         ("baseline_connections", SCALE_BASELINE_CONNS.into()),
         ("scaled_connections", config.conn_scale.into()),
         ("slowloris", config.slowloris.into()),
-        ("requests_per_run", SCALE_TOTAL_REQUESTS.into()),
+        ("requests_per_run", total.into()),
         ("offered_rate_per_sec", SCALE_RATE_PER_SEC.into()),
         (
             "baseline",
@@ -1011,6 +1027,11 @@ mod tests {
             scale.get("scaled_connections").and_then(Json::as_u64),
             Some(16)
         );
+        assert_eq!(
+            scale.get("requests_per_run").and_then(Json::as_u64),
+            Some(192)
+        );
+        assert_eq!(scale_total_requests(128), 768);
         assert_eq!(scale.get("failures").and_then(Json::as_u64), Some(0));
         assert!(scale.get("p99_ratio").and_then(Json::as_f64).unwrap() > 0.0);
         // The server-side percentiles were scraped from /metrics and sit

@@ -94,7 +94,9 @@ pub fn profile_adult_lattice(
     for node in lattice.nodes() {
         let h = match &evaluator {
             Some(eval) => eval.histograms(&node)?,
-            None => wcbk_core::HistogramSet::from_bucketization(&lattice.bucketize(table, &node)?),
+            None => std::sync::Arc::new(wcbk_core::HistogramSet::from_bucketization(
+                &lattice.bucketize(table, &node)?,
+            )),
         };
         let disclosures = engines
             .iter()

@@ -19,12 +19,12 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 use crate::disclosure::build_witness;
 use crate::minimize1::Minimize1Table;
 use crate::minimize2::{minimize2, BucketCosts, SuffixTable};
-use crate::{Bucketization, CoreError, DisclosureResult, HistogramSet, SensitiveHistogram};
+use crate::{Bucketization, CoreError, DisclosureResult, HistogramSet, HistogramView};
 
 struct CachedBucket {
     table: Minimize1Table,
@@ -190,7 +190,7 @@ impl DisclosureEngine {
         (h % N_SHARDS as u64) as usize
     }
 
-    fn cached(&self, hist: &SensitiveHistogram) -> Arc<CachedBucket> {
+    fn cached(&self, hist: HistogramView<'_>) -> Arc<CachedBucket> {
         let shard_index = Self::shard_of(hist.key());
         let shard = &self.shards[shard_index];
         if let Some(entry) = shard.read().expect("cache shard poisoned").get(hist.key()) {
@@ -274,15 +274,15 @@ impl DisclosureEngine {
     }
 
     /// The per-bucket DP costs for a histogram (cached).
-    pub fn costs(&self, hist: &SensitiveHistogram) -> BucketCosts {
-        self.cached(hist).costs.clone()
+    pub fn costs<'h>(&self, hist: impl Into<HistogramView<'h>>) -> BucketCosts {
+        self.cached(hist.into()).costs.clone()
     }
 
     /// The `r_min` of a sequence of per-bucket histograms, through the
     /// cache, cloning no [`BucketCosts`] — the hot path of lattice search.
     fn r_min_of<'h, I>(&self, histograms: I) -> f64
     where
-        I: Iterator<Item = &'h SensitiveHistogram>,
+        I: Iterator<Item = HistogramView<'h>>,
     {
         let entries: Vec<Arc<CachedBucket>> = histograms.map(|h| self.cached(h)).collect();
         let costs: Vec<&BucketCosts> = entries.iter().map(|e| &e.costs).collect();
@@ -294,7 +294,7 @@ impl DisclosureEngine {
         if b.n_buckets() == 0 {
             return Err(CoreError::EmptyBucketization);
         }
-        let r_min = self.r_min_of(b.buckets().iter().map(|bucket| bucket.histogram()));
+        let r_min = self.r_min_of(b.buckets().iter().map(|bucket| bucket.histogram().view()));
         Ok(1.0 / (1.0 + r_min))
     }
 
@@ -305,7 +305,7 @@ impl DisclosureEngine {
         if h.n_buckets() == 0 {
             return Err(CoreError::EmptyBucketization);
         }
-        let r_min = self.r_min_of(h.histograms().iter());
+        let r_min = self.r_min_of(h.buckets());
         Ok(1.0 / (1.0 + r_min))
     }
 
@@ -317,7 +317,7 @@ impl DisclosureEngine {
         let entries: Vec<Arc<CachedBucket>> = b
             .buckets()
             .iter()
-            .map(|bucket| self.cached(bucket.histogram()))
+            .map(|bucket| self.cached(bucket.histogram().view()))
             .collect();
         let costs: Vec<&BucketCosts> = entries.iter().map(|e| &e.costs).collect();
         let result = minimize2(&costs, self.k);
@@ -353,7 +353,7 @@ impl DisclosureEngine {
         if h.n_buckets() == 0 {
             return Err(CoreError::EmptyBucketization);
         }
-        let buckets: Vec<BucketCosts> = h.histograms().iter().map(|x| self.costs(x)).collect();
+        let buckets: Vec<BucketCosts> = h.buckets().map(|x| self.costs(x)).collect();
         Ok(IncrementalDisclosure::new(buckets, self.k))
     }
 }
@@ -374,37 +374,51 @@ impl PrefixTable {
     }
 
     fn build(buckets: &[BucketCosts], k: usize) -> Self {
-        let n = buckets.len();
         let mut t = Self {
             k,
-            p: vec![f64::INFINITY; (n + 1) * (k + 1) * 2],
+            p: vec![f64::INFINITY; (buckets.len() + 1) * (k + 1) * 2],
         };
         let start = t.idx(0, 0, false);
         t.p[start] = 1.0;
         for (i, b) in buckets.iter().enumerate() {
-            for h in 0..=k {
-                for placed in [false, true] {
-                    let mut best = f64::INFINITY;
-                    for c in 0..=h {
-                        // Bucket i takes c plain atoms.
-                        let v = t.get(i, h - c, placed) * b.m1[c];
+            t.fill_row(i, b);
+        }
+        t
+    }
+
+    /// Appends row `i + 1` for a new last bucket `b`: `O(k²)`, and the same
+    /// arithmetic [`PrefixTable::build`] does for that row.
+    fn push(&mut self, b: &BucketCosts) {
+        let i = self.p.len() / ((self.k + 1) * 2) - 1;
+        self.p
+            .resize(self.p.len() + (self.k + 1) * 2, f64::INFINITY);
+        self.fill_row(i, b);
+    }
+
+    /// Fills row `i + 1` from row `i` and bucket `i`'s costs `b`.
+    fn fill_row(&mut self, i: usize, b: &BucketCosts) {
+        let k = self.k;
+        for h in 0..=k {
+            for placed in [false, true] {
+                let mut best = f64::INFINITY;
+                for c in 0..=h {
+                    // Bucket i takes c plain atoms.
+                    let v = self.get(i, h - c, placed) * b.m1[c];
+                    if v < best {
+                        best = v;
+                    }
+                    // Bucket i hosts A (transition false → true).
+                    if placed {
+                        let v = self.get(i, h - c, false) * b.m1[c + 1] * b.rho;
                         if v < best {
                             best = v;
                         }
-                        // Bucket i hosts A (transition false → true).
-                        if placed {
-                            let v = t.get(i, h - c, false) * b.m1[c + 1] * b.rho;
-                            if v < best {
-                                best = v;
-                            }
-                        }
                     }
-                    let at = t.idx(i + 1, h, placed);
-                    t.p[at] = best;
                 }
+                let at = self.idx(i + 1, h, placed);
+                self.p[at] = best;
             }
         }
-        t
     }
 
     #[inline]
@@ -415,23 +429,33 @@ impl PrefixTable {
 
 /// Incremental what-if evaluation of maximum disclosure under single-bucket
 /// edits, in `O(k²)` per query.
+///
+/// Appending a bucket ([`push`](Self::push)) extends the prefix table by one
+/// row; the suffix table is rebuilt once, on the first query after any
+/// number of pushes. Either way the tables hold exactly the values a fresh
+/// build over the same buckets computes.
 pub struct IncrementalDisclosure {
     k: usize,
     buckets: Vec<BucketCosts>,
     prefix: PrefixTable,
-    suffix: SuffixTable,
+    /// Built on first need after construction or a commit.
+    suffix: OnceLock<SuffixTable>,
 }
 
 impl IncrementalDisclosure {
     fn new(buckets: Vec<BucketCosts>, k: usize) -> Self {
         let prefix = PrefixTable::build(&buckets, k);
-        let suffix = SuffixTable::build(&buckets, k);
         Self {
             k,
             buckets,
             prefix,
-            suffix,
+            suffix: OnceLock::new(),
         }
+    }
+
+    fn suffix(&self) -> &SuffixTable {
+        self.suffix
+            .get_or_init(|| SuffixTable::build(&self.buckets, self.k))
     }
 
     /// Number of buckets in the session.
@@ -441,7 +465,7 @@ impl IncrementalDisclosure {
 
     /// Current `r_min` (Formula (1) minimum).
     pub fn r_min(&self) -> f64 {
-        self.suffix.get(0, self.k, false)
+        self.suffix().get(0, self.k, false)
     }
 
     /// Current maximum disclosure.
@@ -484,15 +508,17 @@ impl IncrementalDisclosure {
         Ok(())
     }
 
-    /// Commits an append of a new bucket.
+    /// Commits an append of a new bucket: `O(k²)` now, plus one suffix
+    /// rebuild on the next query.
     pub fn push(&mut self, costs: BucketCosts) {
+        self.prefix.push(&costs);
         self.buckets.push(costs);
-        self.rebuild();
+        self.suffix = OnceLock::new();
     }
 
     fn rebuild(&mut self) {
         self.prefix = PrefixTable::build(&self.buckets, self.k);
-        self.suffix = SuffixTable::build(&self.buckets, self.k);
+        self.suffix = OnceLock::new();
     }
 
     fn check_index(&self, i: usize) -> Result<(), CoreError> {
@@ -509,26 +535,27 @@ impl IncrementalDisclosure {
     /// splits and consequent placement. `O(k²)`.
     fn compose(&self, i: usize, mid: Option<&BucketCosts>, j: usize) -> f64 {
         let k = self.k;
+        let suffix = self.suffix();
         let mut best = f64::INFINITY;
         for hp in 0..=k {
             match mid {
                 None => {
                     let hs = k - hp;
-                    let a_before = self.prefix.get(i, hp, true) * self.suffix.get(j, hs, true);
-                    let a_after = self.prefix.get(i, hp, false) * self.suffix.get(j, hs, false);
+                    let a_before = self.prefix.get(i, hp, true) * suffix.get(j, hs, true);
+                    let a_after = self.prefix.get(i, hp, false) * suffix.get(j, hs, false);
                     best = best.min(a_before).min(a_after);
                 }
                 Some(m) => {
                     for c in 0..=(k - hp) {
                         let hs = k - hp - c;
                         let a_before =
-                            self.prefix.get(i, hp, true) * m.m1[c] * self.suffix.get(j, hs, true);
+                            self.prefix.get(i, hp, true) * m.m1[c] * suffix.get(j, hs, true);
                         let a_mid = self.prefix.get(i, hp, false)
                             * m.m1[c + 1]
                             * m.rho
-                            * self.suffix.get(j, hs, true);
+                            * suffix.get(j, hs, true);
                         let a_after =
-                            self.prefix.get(i, hp, false) * m.m1[c] * self.suffix.get(j, hs, false);
+                            self.prefix.get(i, hp, false) * m.m1[c] * suffix.get(j, hs, false);
                         best = best.min(a_before).min(a_mid).min(a_after);
                     }
                 }
@@ -863,6 +890,47 @@ mod tests {
         assert!(inc.value() >= before - 1e-12);
     }
 
+    /// `push` extends the prefix table a row at a time and defers the suffix
+    /// rebuild, yet after every push the value and every what-if query are
+    /// bit-identical to a fresh build over the same buckets.
+    #[test]
+    fn pushes_match_fresh_builds_bit_for_bit() {
+        let hists: Vec<crate::SensitiveHistogram> = four_buckets()
+            .buckets()
+            .iter()
+            .chain(figure3().buckets())
+            .map(|b| b.histogram().clone())
+            .collect();
+        let domain = figure3().domain_size();
+        for k in 0..=3 {
+            let engine = DisclosureEngine::new(k);
+            let probe = engine.costs(&hists[1]);
+            let first = HistogramSet::new(hists[..1].to_vec(), domain).unwrap();
+            let mut pushed = engine.incremental_set(&first).unwrap();
+            for n in 2..=hists.len() {
+                pushed.push(engine.costs(&hists[n - 1]));
+                let set = HistogramSet::new(hists[..n].to_vec(), domain).unwrap();
+                let fresh = engine.incremental_set(&set).unwrap();
+                assert_eq!(pushed.n_buckets(), n);
+                assert_eq!(
+                    pushed.value().to_bits(),
+                    fresh.value().to_bits(),
+                    "k={k} n={n}"
+                );
+                for i in 0..n {
+                    let bits = |inc: &IncrementalDisclosure| {
+                        (
+                            inc.what_if_replace(i, &probe).unwrap().to_bits(),
+                            inc.what_if_remove(i).unwrap().to_bits(),
+                            inc.what_if_merge_adjacent(i, &probe).ok().map(f64::to_bits),
+                        )
+                    };
+                    assert_eq!(bits(&pushed), bits(&fresh), "k={k} n={n} i={i}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn index_errors() {
         let engine = DisclosureEngine::new(1);
@@ -882,7 +950,7 @@ mod tests {
         let b = four_buckets();
         let inc = engine.incremental(&b).unwrap();
         let via_prefix = inc.prefix.get(4, 3, true);
-        let via_suffix = inc.suffix.get(0, 3, false);
+        let via_suffix = inc.suffix().get(0, 3, false);
         assert!((via_prefix - via_suffix).abs() < 1e-15);
     }
 }

@@ -2,112 +2,95 @@
 //!
 //! The disclosure DP never needs to know *which* person holds *which* value —
 //! only the bucket's value frequencies in descending order (`s⁰_b, s¹_b, …`
-//! in the paper's notation) and their prefix sums. This type precomputes
-//! both, and doubles as the memoization key for cross-bucketization caching
-//! (two buckets with equal sorted frequency vectors have identical MINIMIZE1
-//! tables).
+//! in the paper's notation). [`HistogramView`] is that sorted frequency
+//! vector, borrowed; it doubles as the memoization key for
+//! cross-bucketization caching (two buckets with equal sorted frequency
+//! vectors have identical MINIMIZE1 tables). [`SensitiveHistogram`] owns
+//! one bucket's vectors.
 
 use wcbk_table::SValue;
 
-/// A bucket's sensitive-value distribution, sorted by descending frequency.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SensitiveHistogram {
-    /// Frequencies in descending order (no zero entries).
-    counts_desc: Vec<u64>,
-    /// Value codes aligned with `counts_desc` (ties broken by value code).
-    values_desc: Vec<SValue>,
-    /// `prefix[j] = Σ_{t<j} counts_desc[t]`; `prefix[0] = 0`,
-    /// `prefix[d] = n`.
-    prefix: Vec<u64>,
+/// A borrowed bucket histogram: frequencies in descending order, their value
+/// codes, and the bucket size. Every disclosure computation reads buckets
+/// through this view, whether they are stored one [`SensitiveHistogram`]
+/// per bucket (a [`Bucketization`](crate::Bucketization)) or packed into a
+/// columnar [`HistogramSet`](crate::HistogramSet). `Copy`, so passing one
+/// around costs two slices and a count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HistogramView<'a> {
+    counts_desc: &'a [u64],
+    values_desc: &'a [SValue],
+    n: u64,
 }
 
-impl SensitiveHistogram {
-    /// Builds a histogram from `(value, count)` pairs (zero counts dropped).
-    pub fn from_counts<I: IntoIterator<Item = (SValue, u64)>>(counts: I) -> Self {
-        let mut pairs: Vec<(SValue, u64)> = counts.into_iter().filter(|&(_, c)| c > 0).collect();
-        // Descending by count, ascending by value code for determinism.
-        pairs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let counts_desc: Vec<u64> = pairs.iter().map(|&(_, c)| c).collect();
-        let values_desc: Vec<SValue> = pairs.iter().map(|&(v, _)| v).collect();
-        let mut prefix = Vec::with_capacity(counts_desc.len() + 1);
-        prefix.push(0);
-        let mut acc = 0u64;
-        for &c in &counts_desc {
-            acc += c;
-            prefix.push(acc);
-        }
+impl<'a> HistogramView<'a> {
+    /// A view over aligned descending-frequency slices totalling `n`.
+    pub(crate) fn new(counts_desc: &'a [u64], values_desc: &'a [SValue], n: u64) -> Self {
+        debug_assert_eq!(counts_desc.len(), values_desc.len());
+        debug_assert_eq!(counts_desc.iter().sum::<u64>(), n);
         Self {
             counts_desc,
             values_desc,
-            prefix,
+            n,
         }
-    }
-
-    /// Builds a histogram by tallying raw values.
-    pub fn from_values(values: &[SValue]) -> Self {
-        let mut tally: std::collections::HashMap<SValue, u64> = std::collections::HashMap::new();
-        for &v in values {
-            *tally.entry(v).or_insert(0) += 1;
-        }
-        Self::from_counts(tally)
     }
 
     /// Bucket size `n_b`.
     #[inline]
-    pub fn n(&self) -> u64 {
-        *self.prefix.last().expect("prefix is never empty")
+    pub fn n(self) -> u64 {
+        self.n
     }
 
     /// Number of distinct sensitive values `d_b`.
     #[inline]
-    pub fn distinct(&self) -> usize {
+    pub fn distinct(self) -> usize {
         self.counts_desc.len()
     }
 
     /// Frequency of the `rank`-th most frequent value (`n_b(s^rank_b)`),
     /// or 0 beyond the distinct count.
     #[inline]
-    pub fn frequency(&self, rank: usize) -> u64 {
+    pub fn frequency(self, rank: usize) -> u64 {
         self.counts_desc.get(rank).copied().unwrap_or(0)
     }
 
     /// The `rank`-th most frequent value code.
     #[inline]
-    pub fn value_at(&self, rank: usize) -> Option<SValue> {
+    pub fn value_at(self, rank: usize) -> Option<SValue> {
         self.values_desc.get(rank).copied()
     }
 
     /// Sum of the top `j` frequencies, `Σ_{t∈[j]} n_b(s^t_b)`, saturating at
     /// `n_b` for `j ≥ d_b` — exactly the quantity in Lemma 12.
     #[inline]
-    pub fn top_sum(&self, j: usize) -> u64 {
-        self.prefix[j.min(self.distinct())]
+    pub fn top_sum(self, j: usize) -> u64 {
+        self.counts_desc[..j.min(self.distinct())].iter().sum()
     }
 
     /// Frequencies in descending order.
-    pub fn counts_desc(&self) -> &[u64] {
-        &self.counts_desc
+    pub fn counts_desc(self) -> &'a [u64] {
+        self.counts_desc
     }
 
     /// Value codes in descending-frequency order.
-    pub fn values_desc(&self) -> &[SValue] {
-        &self.values_desc
+    pub fn values_desc(self) -> &'a [SValue] {
+        self.values_desc
     }
 
     /// The maximum-frequency ratio `n_b(s⁰_b) / n_b` — the `k = 0` disclosure
     /// of the bucket.
-    pub fn top_ratio(&self) -> f64 {
-        if self.n() == 0 {
+    pub fn top_ratio(self) -> f64 {
+        if self.n == 0 {
             return 0.0;
         }
-        self.frequency(0) as f64 / self.n() as f64
+        self.frequency(0) as f64 / self.n as f64
     }
 
     /// Shannon entropy (natural log) of the value distribution — the
     /// per-bucket quantity whose minimum over buckets is the x-axis of the
     /// paper's Figure 6 (and the ℓ-diversity entropy criterion).
-    pub fn entropy(&self) -> f64 {
-        let n = self.n() as f64;
+    pub fn entropy(self) -> f64 {
+        let n = self.n as f64;
         if n == 0.0 {
             return 0.0;
         }
@@ -122,16 +105,143 @@ impl SensitiveHistogram {
 
     /// Memoization key: the descending frequency vector. Buckets with equal
     /// keys have identical disclosure behaviour.
-    pub fn key(&self) -> &[u64] {
-        &self.counts_desc
+    pub fn key(self) -> &'a [u64] {
+        self.counts_desc
     }
 
     /// Iterates `(value, count)` pairs in descending-frequency order.
-    pub fn iter_counts(&self) -> impl Iterator<Item = (SValue, u64)> + '_ {
+    pub fn iter_counts(self) -> impl Iterator<Item = (SValue, u64)> + 'a {
         self.values_desc
             .iter()
             .copied()
             .zip(self.counts_desc.iter().copied())
+    }
+
+    /// An owned copy of the viewed histogram.
+    pub fn to_histogram(self) -> SensitiveHistogram {
+        SensitiveHistogram {
+            counts_desc: self.counts_desc.to_vec(),
+            values_desc: self.values_desc.to_vec(),
+            n: self.n,
+        }
+    }
+}
+
+impl<'a> From<&'a SensitiveHistogram> for HistogramView<'a> {
+    fn from(h: &'a SensitiveHistogram) -> Self {
+        h.view()
+    }
+}
+
+/// Sorts `(value, count)` pairs into histogram order: descending by count,
+/// ascending by value code among equal counts.
+pub(crate) fn sort_desc(pairs: &mut [(SValue, u64)]) {
+    pairs.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+}
+
+/// One bucket's sensitive-value distribution, owned and sorted by
+/// descending frequency — the per-bucket storage of a
+/// [`Bucketization`](crate::Bucketization). Its read methods are those of
+/// its [`HistogramView`].
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct SensitiveHistogram {
+    /// Frequencies in descending order (no zero entries).
+    counts_desc: Vec<u64>,
+    /// Value codes aligned with `counts_desc` (ties broken by value code).
+    values_desc: Vec<SValue>,
+    /// `Σ counts_desc`.
+    n: u64,
+}
+
+impl SensitiveHistogram {
+    /// Builds a histogram from `(value, count)` pairs with distinct values
+    /// (zero counts dropped).
+    pub fn from_counts<I: IntoIterator<Item = (SValue, u64)>>(counts: I) -> Self {
+        let mut pairs: Vec<(SValue, u64)> = counts.into_iter().filter(|&(_, c)| c > 0).collect();
+        sort_desc(&mut pairs);
+        Self {
+            counts_desc: pairs.iter().map(|&(_, c)| c).collect(),
+            values_desc: pairs.iter().map(|&(v, _)| v).collect(),
+            n: pairs.iter().map(|&(_, c)| c).sum(),
+        }
+    }
+
+    /// Builds a histogram by tallying raw values.
+    pub fn from_values(values: &[SValue]) -> Self {
+        let mut tally: std::collections::HashMap<SValue, u64> = std::collections::HashMap::new();
+        for &v in values {
+            *tally.entry(v).or_insert(0) += 1;
+        }
+        Self::from_counts(tally)
+    }
+
+    /// The borrowed view every disclosure computation reads.
+    #[inline]
+    pub fn view(&self) -> HistogramView<'_> {
+        HistogramView {
+            counts_desc: &self.counts_desc,
+            values_desc: &self.values_desc,
+            n: self.n,
+        }
+    }
+
+    /// Bucket size `n_b`.
+    #[inline]
+    pub fn n(&self) -> u64 {
+        self.n
+    }
+
+    /// See [`HistogramView::distinct`].
+    #[inline]
+    pub fn distinct(&self) -> usize {
+        self.view().distinct()
+    }
+
+    /// See [`HistogramView::frequency`].
+    #[inline]
+    pub fn frequency(&self, rank: usize) -> u64 {
+        self.view().frequency(rank)
+    }
+
+    /// See [`HistogramView::value_at`].
+    #[inline]
+    pub fn value_at(&self, rank: usize) -> Option<SValue> {
+        self.view().value_at(rank)
+    }
+
+    /// See [`HistogramView::top_sum`].
+    pub fn top_sum(&self, j: usize) -> u64 {
+        self.view().top_sum(j)
+    }
+
+    /// Frequencies in descending order.
+    pub fn counts_desc(&self) -> &[u64] {
+        &self.counts_desc
+    }
+
+    /// Value codes in descending-frequency order.
+    pub fn values_desc(&self) -> &[SValue] {
+        &self.values_desc
+    }
+
+    /// See [`HistogramView::top_ratio`].
+    pub fn top_ratio(&self) -> f64 {
+        self.view().top_ratio()
+    }
+
+    /// See [`HistogramView::entropy`].
+    pub fn entropy(&self) -> f64 {
+        self.view().entropy()
+    }
+
+    /// See [`HistogramView::key`].
+    pub fn key(&self) -> &[u64] {
+        &self.counts_desc
+    }
+
+    /// See [`HistogramView::iter_counts`].
+    pub fn iter_counts(&self) -> impl Iterator<Item = (SValue, u64)> + '_ {
+        self.view().iter_counts()
     }
 }
 

@@ -55,8 +55,8 @@ pub use cost::{cost_negation_max_disclosure, CostNegationResult, CostVector};
 pub use disclosure::{max_disclosure, DisclosureResult, DisclosureWitness};
 pub use engine::{CacheStats, DisclosureEngine, IncrementalDisclosure};
 pub use error::CoreError;
-pub use histogram::SensitiveHistogram;
-pub use histogram_set::HistogramSet;
+pub use histogram::{HistogramView, SensitiveHistogram};
+pub use histogram_set::{HistogramSet, HistogramSetBuilder};
 pub use negation::{negation_max_disclosure, NegationResult};
 pub use registry::{EngineRegistry, RegistryStats};
 pub use safety::{is_ck_safe, CkSafety};

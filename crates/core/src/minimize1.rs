@@ -25,7 +25,7 @@
 //!   `h(i,cap,r) = min( h(i,cap−1,r), factor(i,cap)·h(i+1,cap,r−cap) )`,
 //!   which shaves the `O(k)` inner loop of the memoized Algorithm 1.
 
-use crate::SensitiveHistogram;
+use crate::HistogramView;
 
 /// The Lemma 12 per-person factor: the conditional probability that the
 /// `i`-th constrained person avoids the top `c` values, given the previous
@@ -34,13 +34,18 @@ use crate::SensitiveHistogram;
 /// Returns 0 when the person cannot avoid them (certain disclosure branch)
 /// and `None` when `i ≥ n_b` (no `i`-th person exists).
 #[inline]
-pub fn factor(hist: &SensitiveHistogram, i: usize, c: usize) -> Option<f64> {
-    let n = hist.n();
+pub fn factor<'h>(hist: impl Into<HistogramView<'h>>, i: usize, c: usize) -> Option<f64> {
+    let hist = hist.into();
+    lemma12_factor(hist.n(), hist.top_sum(c), i)
+}
+
+/// [`factor`] from the bucket size and the blocked mass `top_sum(c)`.
+#[inline]
+fn lemma12_factor(n: u64, blocked: u64, i: usize) -> Option<f64> {
     if (i as u64) >= n {
         return None;
     }
     let avail = n - i as u64;
-    let blocked = hist.top_sum(c);
     let free = (n as i128) - (i as i128) - (blocked as i128);
     if free <= 0 {
         Some(0.0)
@@ -54,7 +59,13 @@ pub fn factor(hist: &SensitiveHistogram, i: usize, c: usize) -> Option<f64> {
 ///
 /// `MINIMIZE1(b, i, k̂_i, k̂)`: `i` is the next person index, `k̂_i` bounds
 /// `k_i` (descending profiles), `k̂` is the number of unplaced atoms.
-pub fn paper_recursion(hist: &SensitiveHistogram, i: usize, cap_i: usize, khat: usize) -> f64 {
+pub fn paper_recursion<'h>(
+    hist: impl Into<HistogramView<'h>>,
+    i: usize,
+    cap_i: usize,
+    khat: usize,
+) -> f64 {
+    let hist = hist.into();
     if khat == 0 {
         return 1.0;
     }
@@ -88,7 +99,17 @@ pub struct Minimize1Table {
 
 impl Minimize1Table {
     /// Builds the DP table for `hist`, supporting up to `kmax` atoms.
-    pub fn build(hist: &SensitiveHistogram, kmax: usize) -> Self {
+    pub fn build<'h>(hist: impl Into<HistogramView<'h>>, kmax: usize) -> Self {
+        let hist = hist.into();
+        let n = hist.n();
+        // `top[c] = top_sum(c)`, the mass person i's `c` atoms block.
+        let mut top = Vec::with_capacity(kmax + 1);
+        let mut acc = 0u64;
+        top.push(acc);
+        for c in 1..=kmax {
+            acc += hist.frequency(c - 1);
+            top.push(acc);
+        }
         let persons = kmax + 2; // i ∈ 0..=kmax+1
         let caps = kmax + 1; // cap ∈ 0..=kmax
         let rs = kmax + 1; // r ∈ 0..=kmax
@@ -109,7 +130,7 @@ impl Minimize1Table {
                     let mut best = h[idx(i, cap - 1, r)];
                     // Option 2: person i takes exactly `cap` atoms.
                     if cap <= r {
-                        if let Some(f) = factor_cached(hist, i, cap) {
+                        if let Some(f) = lemma12_factor(n, top[cap], i) {
                             let tail = h[idx(i + 1, cap, r - cap)];
                             let take = f * tail;
                             if take < best {
@@ -122,12 +143,7 @@ impl Minimize1Table {
             }
         }
         let m1 = (0..=kmax).map(|c| h[idx(0, c, c)]).collect();
-        Self {
-            kmax,
-            n: hist.n(),
-            h,
-            m1,
-        }
+        Self { kmax, n, h, m1 }
     }
 
     #[inline]
@@ -181,15 +197,10 @@ impl Minimize1Table {
     }
 }
 
-#[inline]
-fn factor_cached(hist: &SensitiveHistogram, i: usize, c: usize) -> Option<f64> {
-    factor(hist, i, c)
-}
-
 /// Brute-force minimum of `Pr(∧ ¬A_i | B)` by enumerating *all* profiles and
 /// applying the Lemma 12 closed form — an independent oracle for tests.
-pub fn brute_force_profiles(hist: &SensitiveHistogram, k: usize) -> f64 {
-    fn rec(hist: &SensitiveHistogram, i: usize, cap: usize, r: usize) -> f64 {
+pub fn brute_force_profiles<'h>(hist: impl Into<HistogramView<'h>>, k: usize) -> f64 {
+    fn rec(hist: HistogramView<'_>, i: usize, cap: usize, r: usize) -> f64 {
         if r == 0 {
             return 1.0;
         }
@@ -201,12 +212,13 @@ pub fn brute_force_profiles(hist: &SensitiveHistogram, k: usize) -> f64 {
         }
         best
     }
-    rec(hist, 0, k, k)
+    rec(hist.into(), 0, k, k)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SensitiveHistogram;
     use wcbk_table::SValue;
 
     fn hist(vals: &[u32]) -> SensitiveHistogram {

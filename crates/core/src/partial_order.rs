@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use wcbk_table::TupleId;
 
-use crate::{Bucket, Bucketization, CoreError, SensitiveHistogram};
+use crate::{Bucket, Bucketization, CoreError, HistogramView, SensitiveHistogram};
 
 /// Whether `fine ⪯ coarse`: the two cover the same tuples and every bucket of
 /// `coarse` is a union of buckets of `fine`.
@@ -89,9 +89,12 @@ pub fn merge_all(b: &Bucketization) -> Result<Bucketization, CoreError> {
 }
 
 /// Adds two histograms (the sensitive multiset of a merged bucket).
-pub fn merge_histograms(a: &SensitiveHistogram, b: &SensitiveHistogram) -> SensitiveHistogram {
+pub fn merge_histograms<'a, 'b>(
+    a: impl Into<HistogramView<'a>>,
+    b: impl Into<HistogramView<'b>>,
+) -> SensitiveHistogram {
     let mut counts: HashMap<wcbk_table::SValue, u64> = HashMap::new();
-    for h in [a, b] {
+    for h in [a.into(), b.into()] {
         for (v, c) in h.iter_counts() {
             *counts.entry(v).or_insert(0) += c;
         }

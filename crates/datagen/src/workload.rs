@@ -138,8 +138,8 @@ mod tests {
         let h = random_histogram_set(config);
         assert_eq!(h.n_buckets(), b.n_buckets());
         assert_eq!(h.domain_size(), b.domain_size());
-        for (hist, bucket) in h.histograms().iter().zip(b.buckets()) {
-            assert_eq!(hist, bucket.histogram());
+        for (hist, bucket) in h.buckets().zip(b.buckets()) {
+            assert_eq!(hist, bucket.histogram().view());
         }
     }
 

@@ -45,10 +45,10 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use wcbk_core::{CoreError, HistogramSet, SensitiveHistogram};
-use wcbk_table::{SValue, Table};
+use wcbk_core::HistogramSet;
+use wcbk_table::Table;
 
-use crate::scan::{self, MergeTallies, ScanResult, SigMap, Signature};
+use crate::scan::{self, ScanResult, ScanTallies, SigMap, Signature};
 use crate::{GenNode, GeneralizationLattice, Hierarchy, HierarchyError};
 
 /// Tuning for the single bottom-table scan a [`NodeEvaluator`] performs at
@@ -82,51 +82,41 @@ impl ScanOptions {
     }
 }
 
-/// One node's grouped view: packed signature and sparse sensitive counts per
-/// bucket, in first-row-occurrence order (the `bucketize` bucket order).
-#[derive(Debug, Clone)]
+/// One node's grouped view: a packed signature per bucket plus the node's
+/// histogram set, both in first-row-occurrence order (the `bucketize`
+/// bucket order). The set is built once, when the table is, and handed out
+/// by reference count on every later evaluation of the node.
+#[derive(Debug)]
 struct NodeTable<S> {
     sigs: Vec<S>,
-    /// `(value, count)` pairs sorted by value code, per bucket.
-    counts: Vec<Vec<(SValue, u64)>>,
+    hist: Arc<HistogramSet>,
 }
 
 impl<S: Signature> NodeTable<S> {
-    /// Groups `source`'s entries under re-keyed signatures, merging counts.
-    /// First-occurrence order over `source` entries preserves the row
-    /// first-occurrence bucket order transitively — from *any* ancestor, so
-    /// the derivation source never affects results.
+    /// Groups `source`'s buckets under re-keyed signatures, merging their
+    /// counts. First-occurrence order over `source` buckets preserves the
+    /// row first-occurrence bucket order transitively — from *any*
+    /// ancestor, so the derivation source never affects results.
     ///
-    /// Group lookup is an open-addressed [`SigMap`]; count rows merge as
-    /// dense arrays (small sensitive domains) or linear runs over the
-    /// already-sorted source rows — no hash re-insertion on either side.
-    fn derive(source: &NodeTable<S>, domain: usize, rekey: impl Fn(S) -> S) -> NodeTable<S> {
+    /// Group lookup is an open-addressed [`SigMap`]; counts merge into dense
+    /// rows (small sensitive domains) or per-group appends sorted once at
+    /// the end — no hash re-insertion on either side.
+    fn derive(source: &NodeTable<S>, domain_size: u32, rekey: impl Fn(S) -> S) -> NodeTable<S> {
         let mut index = SigMap::with_capacity(source.sigs.len());
-        let mut tallies = MergeTallies::new(domain);
+        let mut tallies = ScanTallies::new(domain_size as usize);
         for (i, &sig) in source.sigs.iter().enumerate() {
             let gi = index.get_or_insert(rekey(sig));
-            tallies.add_sorted(gi, &source.counts[i]);
+            for (value, count) in source.hist.bucket(i).iter_counts() {
+                tallies.add(gi, value, count);
+            }
         }
+        let hist = tallies
+            .finish_set(domain_size)
+            .expect("a non-empty source derives non-empty buckets");
         NodeTable {
             sigs: index.into_sigs(),
-            counts: tallies.finish(),
+            hist: Arc::new(hist),
         }
-    }
-
-    fn histogram_set(&self, domain_size: u32) -> Result<HistogramSet, HierarchyError> {
-        if self.sigs.is_empty() {
-            // Mirror `bucketize` on an empty table, which fails building the
-            // (empty) partition.
-            return Err(HierarchyError::Table(
-                CoreError::EmptyBucketization.to_string(),
-            ));
-        }
-        let histograms: Vec<SensitiveHistogram> = self
-            .counts
-            .iter()
-            .map(|c| SensitiveHistogram::from_counts(c.iter().copied()))
-            .collect();
-        HistogramSet::new(histograms, domain_size).map_err(|e| HierarchyError::Table(e.to_string()))
     }
 }
 
@@ -153,11 +143,13 @@ pub struct RollupStats {
     pub memo_groups: u64,
     /// Distinct signatures at the lattice bottom (the scan's output size).
     pub bottom_groups: usize,
-    /// Wall-clock microseconds the construction-time bottom scan took.
+    /// Wall-clock microseconds the construction-time bottom scan took,
+    /// packing the bottom node's [`HistogramSet`] included.
     /// Schedule/machine-dependent: equivalence tests must not compare it.
     pub scan_micros: u64,
-    /// Cumulative wall-clock microseconds spent deriving node tables
-    /// (re-keying and merging, the `O(groups × dims)` roll-up work).
+    /// Cumulative wall-clock microseconds spent deriving node tables:
+    /// re-keying and merging (the `O(groups × dims)` roll-up work) and
+    /// building each derived node's [`HistogramSet`].
     pub derive_micros: u64,
 }
 
@@ -287,7 +279,7 @@ impl<S: Signature> RollupEngine<S> {
         layout: Layout,
         capacity: Option<usize>,
         scan: ScanOptions,
-    ) -> Self {
+    ) -> Result<Self, HierarchyError> {
         let n_dims = lattice.n_dims();
         debug_assert!(layout.total_bits <= S::BITS);
         let parent_maps: Vec<Vec<Vec<u32>>> = (0..n_dims)
@@ -320,12 +312,19 @@ impl<S: Signature> RollupEngine<S> {
                 scan.effective_threads(),
             )
         };
+        let domain_size = domain as u32;
+        // An empty table has no bottom bucket; fail like `bucketize` does.
+        let hist = scan::rows_to_set(&counts, domain_size)
+            .map_err(|e| HierarchyError::Table(e.to_string()))?;
         let scan_micros = scan_started.elapsed().as_micros() as u64;
-        let bottom = Arc::new(NodeTable { sigs, counts });
+        let bottom = Arc::new(NodeTable {
+            sigs,
+            hist: Arc::new(hist),
+        });
 
-        Self {
+        Ok(Self {
             lattice,
-            domain_size: table.sensitive_cardinality() as u32,
+            domain_size,
             shifts: layout.shifts,
             masks: layout.masks,
             parent_maps,
@@ -340,7 +339,7 @@ impl<S: Signature> RollupEngine<S> {
             scan_micros,
             scan_chunk_micros: chunk_micros,
             derive_micros: AtomicU64::new(0),
-        }
+        })
     }
 
     fn stats(&self) -> RollupStats {
@@ -366,23 +365,19 @@ impl<S: Signature> RollupEngine<S> {
         self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
-    fn histograms(&self, node: &GenNode) -> Result<HistogramSet, HierarchyError> {
+    fn histograms(&self, node: &GenNode) -> Result<Arc<HistogramSet>, HierarchyError> {
         self.lattice.validate(node)?;
-        self.node_table(node).histogram_set(self.domain_size)
+        Ok(Arc::clone(&self.node_table(node).hist))
     }
 
-    fn histograms_subset(
-        &self,
-        dims: &[usize],
-        levels: &[usize],
-    ) -> Result<HistogramSet, HierarchyError> {
+    fn histograms_subset(&self, dims: &[usize], levels: &[usize]) -> Arc<HistogramSet> {
         let maps: Vec<(usize, &[u32])> = dims
             .iter()
             .zip(levels)
             .map(|(&d, &level)| (d, self.lattice.hierarchy(d).level_map(level)))
             .collect();
         let derive_started = std::time::Instant::now();
-        let table = NodeTable::derive(&self.bottom, self.domain_size as usize, |sig| {
+        let table = NodeTable::derive(&self.bottom, self.domain_size, |sig| {
             let mut out = S::zero();
             for &(d, map) in &maps {
                 let base = sig.field(self.shifts[d], self.masks[d]);
@@ -395,7 +390,7 @@ impl<S: Signature> RollupEngine<S> {
             Ordering::Relaxed,
         );
         self.derived.fetch_add(1, Ordering::Relaxed);
-        table.histogram_set(self.domain_size)
+        table.hist
     }
 
     /// The map taking dimension `d`'s level-`from` group ids to level-`to`
@@ -490,7 +485,7 @@ impl<S: Signature> RollupEngine<S> {
                 )
             })
             .collect();
-        let table = NodeTable::derive(&src_table, self.domain_size as usize, |sig| {
+        let table = NodeTable::derive(&src_table, self.domain_size, |sig| {
             let mut out = sig;
             for (shift, mask, map) in &maps {
                 let group = out.field(*shift, *mask);
@@ -579,7 +574,9 @@ impl NodeEvaluator {
     ///
     /// Fails with [`HierarchyError::SignatureOverflow`] when the packed
     /// per-row signature does not fit 128 bits (callers then fall back to
-    /// the row-scanning `bucketize` path).
+    /// the row-scanning `bucketize` path), and with
+    /// [`HierarchyError::Table`] on a table with no rows, which has no
+    /// bucket to evaluate.
     pub fn new(table: &Table, lattice: &GeneralizationLattice) -> Result<Self, HierarchyError> {
         Self::with_memo_capacity(table, lattice, None)
     }
@@ -624,9 +621,9 @@ impl NodeEvaluator {
     ) -> Result<Self, HierarchyError> {
         let l = layout(&lattice);
         let inner = if l.total_bits <= u64::BITS {
-            Inner::Narrow(RollupEngine::new(table, lattice, l, capacity, scan))
+            Inner::Narrow(RollupEngine::new(table, lattice, l, capacity, scan)?)
         } else if l.total_bits <= u128::BITS {
-            Inner::Wide(RollupEngine::new(table, lattice, l, capacity, scan))
+            Inner::Wide(RollupEngine::new(table, lattice, l, capacity, scan)?)
         } else {
             return Err(HierarchyError::SignatureOverflow { bits: l.total_bits });
         };
@@ -667,8 +664,9 @@ impl NodeEvaluator {
     }
 
     /// The histograms `node` induces, in `bucketize` bucket order — derived
-    /// by roll-up, never by re-scanning the table.
-    pub fn histograms(&self, node: &GenNode) -> Result<HistogramSet, HierarchyError> {
+    /// by roll-up, never by re-scanning the table. A memoized node's set is
+    /// returned as is: the same [`Arc`] on every call, with no copy.
+    pub fn histograms(&self, node: &GenNode) -> Result<Arc<HistogramSet>, HierarchyError> {
         match &self.inner {
             Inner::Narrow(e) => e.histograms(node),
             Inner::Wide(e) => e.histograms(node),
@@ -682,7 +680,7 @@ impl NodeEvaluator {
         &self,
         dims: &[usize],
         levels: &[usize],
-    ) -> Result<HistogramSet, HierarchyError> {
+    ) -> Result<Arc<HistogramSet>, HierarchyError> {
         let lattice = self.lattice();
         if dims.len() != levels.len() {
             return Err(HierarchyError::DimensionMismatch {
@@ -705,10 +703,10 @@ impl NodeEvaluator {
                 });
             }
         }
-        match &self.inner {
+        Ok(match &self.inner {
             Inner::Narrow(e) => e.histograms_subset(dims, levels),
             Inner::Wide(e) => e.histograms_subset(dims, levels),
-        }
+        })
     }
 }
 
@@ -753,8 +751,8 @@ mod tests {
             assert_eq!(rolled.domain_size(), scanned.domain_size());
             for (i, bucket) in scanned.buckets().iter().enumerate() {
                 assert_eq!(
-                    &rolled.histograms()[i],
-                    bucket.histogram(),
+                    rolled.bucket(i),
+                    bucket.histogram().view(),
                     "node {node} bucket {i}"
                 );
             }
@@ -786,6 +784,21 @@ mod tests {
         assert!(stats.memo_groups <= (stats.memo_entries * stats.bottom_groups) as u64);
     }
 
+    /// A warm evaluation hands out the memoized set itself: the same `Arc`
+    /// on every call, with no derivation and no copy.
+    #[test]
+    fn warm_histograms_share_the_memoized_set() {
+        let (table, lattice) = hospital_lattice();
+        let eval = NodeEvaluator::new(&table, &lattice).unwrap();
+        for node in lattice.nodes() {
+            let first = eval.histograms(&node).unwrap();
+            let derived = eval.stats().derived;
+            let second = eval.histograms(&node).unwrap();
+            assert!(Arc::ptr_eq(&first, &second), "node {node}");
+            assert_eq!(eval.stats().derived, derived, "node {node}");
+        }
+    }
+
     /// A budgeted memo evicts, falls back to ancestor derivation, and still
     /// produces histograms identical to `bucketize` at every node — in any
     /// evaluation order. The budget counts retained groups, so entries ≤
@@ -807,8 +820,8 @@ mod tests {
                 assert_eq!(rolled.n_buckets(), scanned.n_buckets(), "cap {cap} {node}");
                 for (i, bucket) in scanned.buckets().iter().enumerate() {
                     assert_eq!(
-                        &rolled.histograms()[i],
-                        bucket.histogram(),
+                        rolled.bucket(i),
+                        bucket.histogram().view(),
                         "cap {cap} node {node} bucket {i}"
                     );
                 }
@@ -895,7 +908,7 @@ mod tests {
                 "{dims:?}/{levels:?}"
             );
             for (i, bucket) in scanned.buckets().iter().enumerate() {
-                assert_eq!(&rolled.histograms()[i], bucket.histogram());
+                assert_eq!(rolled.bucket(i), bucket.histogram().view());
             }
         }
     }
@@ -950,7 +963,7 @@ mod tests {
             let scanned = lattice.bucketize(&table, node).unwrap();
             assert_eq!(rolled.n_buckets(), scanned.n_buckets(), "node {node}");
             for (i, bucket) in scanned.buckets().iter().enumerate() {
-                assert_eq!(&rolled.histograms()[i], bucket.histogram(), "{node}/{i}");
+                assert_eq!(rolled.bucket(i), bucket.histogram().view(), "{node}/{i}");
             }
         }
         assert_eq!(eval.stats().table_scans, 1);

@@ -15,11 +15,12 @@
 //!   table keyed by a multiply-shift hash of the packed signature. Insertion
 //!   order is the group order, which keeps the first-row-occurrence bucket
 //!   order `bucketize` defines.
-//! * **Dense tallies** ([`ScanTallies`] / [`MergeTallies`]): sensitive counts
-//!   accumulate into a flat `groups × domain` array when the sensitive domain
-//!   is small (the common case — e.g. 14 occupations), falling back to
-//!   sorted-run merges for large domains. Either way the output is the same
-//!   value-sorted `(SValue, count)` rows the roll-up pipeline stores.
+//! * **Dense tallies** ([`ScanTallies`]): sensitive counts accumulate into a
+//!   flat `groups × domain` array when the sensitive domain is small (the
+//!   common case — e.g. 14 occupations), falling back to per-group appends
+//!   sorted once at the end for large domains. Either way the output is the
+//!   same value-sorted `(SValue, count)` rows, which the roll-up evaluator
+//!   packs into the bottom node's [`HistogramSet`].
 //! * **Chunked parallelism** ([`scan_kernel`]): rows are split into
 //!   contiguous chunks scanned independently (each worker owns its packing
 //!   buffer, map, and tallies), then partial results merge **in chunk index
@@ -36,6 +37,7 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use wcbk_core::{CoreError, HistogramSet, HistogramSetBuilder};
 use wcbk_table::SValue;
 
 /// A packed per-row quasi-identifier signature: one bit field per dimension,
@@ -244,14 +246,15 @@ impl<S: Signature> SigMap<S> {
 /// The paper's workloads sit far below this (hospital: 4, Adult: 14).
 pub(crate) const DENSE_DOMAIN_MAX: usize = 64;
 
-/// Per-row tally accumulator for the scan: dense rows for small sensitive
-/// domains, unsorted append (sorted and aggregated at `finish`) otherwise.
+/// Tally accumulator for the scan and for node derivation: dense rows for
+/// small sensitive domains, unsorted appends (sorted and aggregated at
+/// `finish`) otherwise. Neither path needs its input in value order.
 pub(crate) struct ScanTallies {
     domain: usize,
     dense: bool,
     /// Group-major flat dense counts (`dense` only).
     flat: Vec<u64>,
-    /// Per-group unsorted `(value, 1)` appends (sparse only).
+    /// Per-group unsorted `(value, count)` appends (sparse only).
     rows: Vec<Vec<(SValue, u64)>>,
     n_groups: usize,
 }
@@ -267,10 +270,10 @@ impl ScanTallies {
         }
     }
 
-    /// Adds one row with sensitive `value` to `group`. `group` is at most
-    /// the current group count (i.e. groups appear in index order).
+    /// Adds `count` tuples with sensitive `value` to `group`. `group` is at
+    /// most the current group count (i.e. groups appear in index order).
     #[inline]
-    pub(crate) fn bump(&mut self, group: usize, value: SValue) {
+    pub(crate) fn add(&mut self, group: usize, value: SValue, count: u64) {
         if group == self.n_groups {
             self.n_groups += 1;
             if self.dense {
@@ -280,10 +283,22 @@ impl ScanTallies {
             }
         }
         if self.dense {
-            self.flat[group * self.domain + value.index()] += 1;
+            self.flat[group * self.domain + value.index()] += count;
         } else {
-            self.rows[group].push((value, 1));
+            self.rows[group].push((value, count));
         }
+    }
+
+    /// Value-sorted, aggregated `(value, count)` rows per group (sparse
+    /// only).
+    fn sorted_rows(rows: Vec<Vec<(SValue, u64)>>) -> Vec<Vec<(SValue, u64)>> {
+        rows.into_iter()
+            .map(|mut row| {
+                row.sort_unstable_by_key(|&(value, _)| value);
+                aggregate_sorted(&mut row);
+                row
+            })
+            .collect()
     }
 
     /// Value-sorted `(value, count)` rows per group.
@@ -291,68 +306,43 @@ impl ScanTallies {
         if self.dense {
             dense_to_sorted(&self.flat, self.domain, self.n_groups)
         } else {
-            self.rows
-                .into_iter()
-                .map(|mut row| {
-                    row.sort_unstable_by_key(|&(value, _)| value);
-                    aggregate_sorted(&mut row);
-                    row
-                })
-                .collect()
+            Self::sorted_rows(self.rows)
+        }
+    }
+
+    /// The groups as a columnar [`HistogramSet`] in group order. Fails when
+    /// no tuple was added.
+    pub(crate) fn finish_set(self, domain_size: u32) -> Result<HistogramSet, CoreError> {
+        if self.dense {
+            let entries = self.flat.iter().filter(|&&count| count > 0).count();
+            let mut builder =
+                HistogramSetBuilder::with_capacity(domain_size, self.n_groups, entries);
+            for row in self.flat.chunks_exact(self.domain) {
+                builder.push_counts(
+                    row.iter()
+                        .enumerate()
+                        .map(|(value, &count)| (SValue(value as u32), count)),
+                );
+            }
+            builder.finish()
+        } else {
+            rows_to_set(&Self::sorted_rows(self.rows), domain_size)
         }
     }
 }
 
-/// Tally accumulator for merges (chunk merge, node derivation): inputs are
-/// already value-sorted rows, so the sparse fallback is a linear two-pointer
-/// merge — no hash re-insertion anywhere.
-pub(crate) struct MergeTallies {
-    domain: usize,
-    dense: bool,
-    flat: Vec<u64>,
-    rows: Vec<Vec<(SValue, u64)>>,
-    n_groups: usize,
-}
-
-impl MergeTallies {
-    pub(crate) fn new(domain: usize) -> Self {
-        Self {
-            domain,
-            dense: domain > 0 && domain <= DENSE_DOMAIN_MAX,
-            flat: Vec::new(),
-            rows: Vec::new(),
-            n_groups: 0,
-        }
+/// Packs `(value, count)` rows, one per group, into a columnar
+/// [`HistogramSet`]. Fails when there are no rows.
+pub(crate) fn rows_to_set(
+    rows: &[Vec<(SValue, u64)>],
+    domain_size: u32,
+) -> Result<HistogramSet, CoreError> {
+    let entries = rows.iter().map(Vec::len).sum();
+    let mut builder = HistogramSetBuilder::with_capacity(domain_size, rows.len(), entries);
+    for row in rows {
+        builder.push_counts(row.iter().copied());
     }
-
-    /// Merges a value-sorted count row into `group`.
-    pub(crate) fn add_sorted(&mut self, group: usize, pairs: &[(SValue, u64)]) {
-        if group == self.n_groups {
-            self.n_groups += 1;
-            if self.dense {
-                self.flat.resize(self.n_groups * self.domain, 0);
-            } else {
-                self.rows.push(Vec::new());
-            }
-        }
-        if self.dense {
-            let row = &mut self.flat[group * self.domain..(group + 1) * self.domain];
-            for &(value, count) in pairs {
-                row[value.index()] += count;
-            }
-        } else {
-            merge_sorted(&mut self.rows[group], pairs);
-        }
-    }
-
-    /// Value-sorted `(value, count)` rows per group.
-    pub(crate) fn finish(self) -> Vec<Vec<(SValue, u64)>> {
-        if self.dense {
-            dense_to_sorted(&self.flat, self.domain, self.n_groups)
-        } else {
-            self.rows
-        }
-    }
+    builder.finish()
 }
 
 /// Converts flat dense rows to sparse value-sorted rows (ascending value
@@ -382,36 +372,6 @@ fn aggregate_sorted(row: &mut Vec<(SValue, u64)>) {
         }
     }
     row.truncate(out);
-}
-
-/// Two-pointer merge of value-sorted count rows: `dst += src`.
-fn merge_sorted(dst: &mut Vec<(SValue, u64)>, src: &[(SValue, u64)]) {
-    if dst.is_empty() {
-        dst.extend_from_slice(src);
-        return;
-    }
-    let mut merged = Vec::with_capacity(dst.len() + src.len());
-    let (mut i, mut j) = (0, 0);
-    while i < dst.len() && j < src.len() {
-        match dst[i].0.cmp(&src[j].0) {
-            std::cmp::Ordering::Less => {
-                merged.push(dst[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                merged.push(src[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                merged.push((dst[i].0, dst[i].1 + src[j].1));
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    merged.extend_from_slice(&dst[i..]);
-    merged.extend_from_slice(&src[j..]);
-    *dst = merged;
 }
 
 /// The scan's output: distinct signatures in first-row-occurrence order and
@@ -452,7 +412,7 @@ fn scan_chunk<S: Signature>(
     let mut tallies = ScanTallies::new(domain);
     for (i, &sig) in sig_buf.iter().enumerate() {
         let group = map.get_or_insert(sig);
-        tallies.bump(group, SValue(sensitive[start + i]));
+        tallies.add(group, SValue(sensitive[start + i]), 1);
     }
     ChunkScan {
         sigs: map.into_sigs(),
@@ -468,11 +428,13 @@ fn merge_chunks<S: Signature>(chunks: Vec<ChunkScan<S>>, domain: usize) -> ScanR
     let groups_hint = chunks.iter().map(|c| c.sigs.len()).max().unwrap_or(0);
     let chunk_micros: Vec<u64> = chunks.iter().map(|c| c.micros).collect();
     let mut map = SigMap::with_capacity(groups_hint);
-    let mut tallies = MergeTallies::new(domain);
+    let mut tallies = ScanTallies::new(domain);
     for chunk in chunks {
         for (local, sig) in chunk.sigs.into_iter().enumerate() {
             let group = map.get_or_insert(sig);
-            tallies.add_sorted(group, &chunk.counts[local]);
+            for &(value, count) in &chunk.counts[local] {
+                tallies.add(group, value, count);
+            }
         }
     }
     ScanResult {
@@ -678,17 +640,19 @@ mod tests {
     }
 
     #[test]
-    fn merge_sorted_accumulates_overlaps() {
-        let mut dst = vec![(SValue(1), 2u64), (SValue(3), 1)];
-        merge_sorted(&mut dst, &[(SValue(0), 5), (SValue(3), 4), (SValue(9), 1)]);
+    fn sparse_tallies_aggregate_overlaps() {
+        let mut tallies = ScanTallies::new(DENSE_DOMAIN_MAX + 1);
+        for (value, count) in [(1, 2u64), (3, 1), (9, 1), (0, 5), (3, 4)] {
+            tallies.add(0, SValue(value), count);
+        }
         assert_eq!(
-            dst,
-            vec![
+            tallies.finish(),
+            vec![vec![
                 (SValue(0), 5),
                 (SValue(1), 2),
                 (SValue(3), 5),
                 (SValue(9), 1)
-            ]
+            ]]
         );
     }
 

@@ -392,24 +392,31 @@ fn partial_writes_resume_until_the_response_completes() {
     join.join().unwrap().unwrap();
 }
 
-/// Admission: past `max_connections` open sockets, new connections
-/// get the immediate 503 (counted in `/stats`), and capacity frees as
-/// connections close.
+/// Admission with one worker and two connection slots: a keep-alive
+/// connection holding a slot does not hold the worker, so a second client
+/// is served while it stays open; past `max_connections` open sockets a new
+/// connection gets the immediate 503 (counted in `/stats`) without touching
+/// a worker, and once the holder closes, a new connection is served.
 #[test]
 fn connections_past_the_cap_are_rejected_at_accept() {
     let (addr, handle, _service, join) = start(ServerConfig {
-        workers: 2,
+        workers: 1,
         max_connections: 2,
+        read_timeout: Some(Duration::from_secs(30)),
         ..ServerConfig::default()
     });
 
+    // A completes one request and keeps its connection open.
     let mut a = connect(addr);
-    let mut b = connect(addr);
     assert_eq!(a.get("/healthz").unwrap().status, 200);
+
+    // B is answered while A is still open — well inside `read_timeout`,
+    // which a connection parked behind A's idle keep-alive would wait out.
+    let mut b = Client::connect(addr, Some(Duration::from_secs(5))).expect("connect");
     assert_eq!(b.get("/healthz").unwrap().status, 200);
 
     // Both slots held open by keep-alive: the third connection is rejected
-    // at accept without touching a worker.
+    // at accept with an error body.
     let mut c = connect(addr);
     let r = c.read_response().unwrap();
     assert_eq!(r.status, 503);
@@ -418,7 +425,10 @@ fn connections_past_the_cap_are_rejected_at_accept() {
         Some("server is at capacity")
     );
 
-    // Freeing a slot restores admission.
+    // A closes; its slot frees and a new connection is served.
+    a.send_raw(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    assert_eq!(a.read_response().unwrap().status, 200);
     drop(a);
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {

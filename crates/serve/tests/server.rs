@@ -411,61 +411,6 @@ fn malformed_requests_get_4xx() {
     join.join().unwrap().unwrap();
 }
 
-/// One worker, two connection slots: a keep-alive connection holding the
-/// first slot does not hold the worker, so a second client is served while
-/// it stays open; a third connection is rejected with 503 immediately, and
-/// once the holder closes, a new connection is served.
-#[test]
-fn queue_full_gets_503_and_recovers() {
-    let (addr, handle, _service, join) = start(ServerConfig {
-        workers: 1,
-        max_connections: 2,
-        read_timeout: Some(Duration::from_secs(30)),
-        ..ServerConfig::default()
-    });
-
-    // A: completes one request and keeps its connection open.
-    let mut holder = connect(addr);
-    assert_eq!(holder.get("/healthz").unwrap().status, 200);
-
-    // B: answered while A is still open — well inside `read_timeout`,
-    // which a connection parked behind A's idle keep-alive would wait out.
-    let mut second = Client::connect(addr, Some(Duration::from_secs(5))).expect("connect");
-    assert_eq!(second.get("/healthz").unwrap().status, 200);
-
-    // C: both slots are held → immediate 503 with an error body.
-    let mut rejected = connect(addr);
-    let r = rejected.read_response().unwrap();
-    assert_eq!(r.status, 503);
-    assert!(r.json().unwrap().get("error").is_some());
-
-    let stats = second.get("/stats").unwrap().json().unwrap();
-    let rejected_count = stats
-        .get("server")
-        .and_then(|s| s.get("rejected_503"))
-        .and_then(Json::as_u64)
-        .unwrap();
-    assert!(rejected_count >= 1, "{stats}");
-
-    // A closes; its slot frees and a new connection is served.
-    holder
-        .send_raw(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
-        .unwrap();
-    assert_eq!(holder.read_response().unwrap().status, 200);
-    drop(holder);
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        match connect(addr).get("/healthz") {
-            Ok(r) if r.status == 200 => break,
-            _ => assert!(std::time::Instant::now() < deadline, "slot never freed"),
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-
-    handle.shutdown();
-    join.join().unwrap().unwrap();
-}
-
 /// Shutdown during a streaming batch: the batch runs to completion (every
 /// line plus the summary arrives), then the server exits and the port
 /// closes.

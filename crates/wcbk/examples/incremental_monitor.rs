@@ -52,8 +52,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             skew,
             seed: 9000 + i,
         });
-        let hist = batch.histograms()[0].clone();
-        let costs = engine.costs(&hist);
+        let hist = batch.bucket(0);
+        let costs = engine.costs(hist);
         // What-if: session with the batch appended. (The prefix/suffix
         // composition treats an append as replacing the virtual end.)
         let mut probe = engine.incremental_set(&initial)?;
@@ -84,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let current = session.value();
     let mut best: Option<(usize, f64)> = None;
     for i in 0..initial.n_buckets() - 1 {
-        let merged = merge_histograms(&initial.histograms()[i], &initial.histograms()[i + 1]);
+        let merged = merge_histograms(initial.bucket(i), initial.bucket(i + 1));
         let costs = engine.costs(&merged);
         let v = session.what_if_merge_adjacent(i, &costs)?;
         if best.as_ref().is_none_or(|&(_, bv)| v < bv) {

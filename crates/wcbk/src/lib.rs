@@ -71,7 +71,7 @@ pub mod prelude {
     pub use wcbk_core::{
         cost_negation_max_disclosure, is_ck_safe, max_disclosure, negation_max_disclosure, Bucket,
         Bucketization, CacheStats, CkSafety, CostVector, DisclosureEngine, DisclosureResult,
-        EngineRegistry, HistogramSet, SensitiveHistogram,
+        EngineRegistry, HistogramSet, HistogramView, SensitiveHistogram,
     };
     pub use wcbk_hierarchy::{
         dataset_fingerprint, GenNode, GeneralizationLattice, Hierarchy, NodeEvaluator, RollupStats,
